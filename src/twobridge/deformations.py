@@ -27,7 +27,7 @@ from .matrices import Mat2, word_matrix
 from .padics import PadicInt, PadicSeries, Zp, ZpT, hensel_root, sqrt_positive
 from .presentations import TwoBridgePresentation, two_bridge
 from .riley import relation_holds, riley_polynomial
-from .words import FreeWord, gen
+from .words import FreeWord, gen, reduced_words
 
 
 class BranchMismatch(ArithmeticError):
@@ -98,14 +98,13 @@ class DeformationFamily:
 
 
 def _verify_family(fam: DeformationFamily) -> DeformationFamily:
-    one, zero = fam.ring.one, fam.ring.zero
     for i in (1, 2):
         m = fam.rep.matrices[i]
         if not (m.det() - 1).is_zero:
             raise ArithmeticError("%s: generator %d is not in SL2" % (fam.key, i))
         if m.trace() != fam.trace_series:
             raise ArithmeticError("%s: generator %d has wrong trace" % (fam.key, i))
-    if not relation_holds(fam.pres, fam.rep.matrices[1], fam.rep.matrices[2], one, zero):
+    if not relation_holds(fam.pres, fam.rep):
         raise ArithmeticError("%s: group relation fails" % fam.key)
     got = fam.rep.residue_matrices()
     if got != fam.expected_residual:
@@ -272,7 +271,8 @@ def build_family(key: str, N: int = 8, D: int = 8) -> DeformationFamily:
 @dataclass(frozen=True)
 class Specialization:
     """A family evaluated at a center x = x_value with T = x_value - alpha
-    in the maximal ideal; exact whenever (D+1) val(t0) >= N."""
+    in the maximal ideal; exact, since PadicSeries.specialize raises
+    Indeterminate unless (D+1) val(t0) >= N."""
 
     family: DeformationFamily
     x_value: PadicInt
@@ -352,11 +352,8 @@ class Certificate:
 
 
 def universality_certificate(fam: DeformationFamily) -> Certificate:
-    one, zero = fam.ring.one, fam.ring.zero
     trace_ok = all(fam.rep.matrices[i].trace() == fam.trace_series for i in (1, 2))
-    relation_ok = relation_holds(
-        fam.pres, fam.rep.matrices[1], fam.rep.matrices[2], one, zero
-    )
+    relation_ok = relation_holds(fam.pres, fam.rep)
     residual_ok = fam.rep.residue_matrices() == fam.expected_residual
     x0, y0 = fam.char_point
     res = fam.rep.residual()
@@ -379,23 +376,6 @@ def universality_certificate(fam: DeformationFamily) -> Certificate:
 
 
 # --- trace axioms ---------------------------------------------------------
-
-
-def reduced_words(max_len: int, include_identity: bool = True) -> list[FreeWord]:
-    """All reduced words of length <= max_len in g1, g2."""
-    words = [FreeWord()] if include_identity else []
-    frontier = [FreeWord()]
-    letters = [gen(1), gen(1, -1), gen(2), gen(2, -1)]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for letter in letters:
-                v = w * letter
-                if len(v) == len(w) + 1:
-                    nxt.append(v)
-        words.extend(nxt)
-        frontier = nxt
-    return words
 
 
 @dataclass(frozen=True)
@@ -448,60 +428,37 @@ def trace_axioms(
     """
     override = override or {}
 
-    def trace_of(w: FreeWord):
+    def T(w: FreeWord):
         if w in override:
             return override[w]
         return rep(w).trace()
 
-    words = reduced_words(max_len)
-    nonempty = [w for w in words if not w.is_identity]
+    # (name, arity, defect): an identity holds on a sample iff its defect is zero
+    identities = (
+        ("symmetry", 2, lambda a, b: T(a * b) - T(b * a)),
+        ("square", 1, lambda a: T(a) * T(a) - T(a * a) - 2),
+        ("product", 2, lambda a, b: T(a) * T(b) - (T(a * b) + T(a.inverse() * b))),
+        (
+            "triple",
+            3,
+            lambda a, b, c: T(a) * T(b) * T(c) + T(a * b * c) + T(a * c * b)
+            - (T(a * b) * T(c) + T(b * c) * T(a) + T(a * c) * T(b)),
+        ),
+    )
+    nonempty = reduced_words(max_len, include_identity=False)
     rng = random.Random(seed)
-    checks = {"central": 0, "symmetry": 0, "square": 0, "product": 0, "triple": 0}
-    violation = None
-
-    def fail(axiom: str, *ws: FreeWord) -> AxiomViolation:
-        return AxiomViolation(axiom=axiom, words=tuple(str(w) for w in ws))
-
-    checks["central"] = 1
-    if not (trace_of(FreeWord()) - 2).is_zero:
-        violation = fail("central", FreeWord())
-    if violation is None:
+    checks = {"central": 1}
+    checks.update((name, 0) for name, _, _ in identities)
+    if not (T(FreeWord()) - 2).is_zero:
+        return AxiomReport(checks=checks, violation=AxiomViolation("central", ("e",)))
+    for name, arity, defect in identities:
         for _ in range(budget):
-            a, b = rng.choice(nonempty), rng.choice(nonempty)
-            checks["symmetry"] += 1
-            if not (trace_of(a * b) - trace_of(b * a)).is_zero:
-                violation = fail("symmetry", a, b)
-                break
-    if violation is None:
-        for _ in range(budget):
-            a = rng.choice(nonempty)
-            checks["square"] += 1
-            if not (trace_of(a) * trace_of(a) - trace_of(a * a) - 2).is_zero:
-                violation = fail("square", a)
-                break
-    if violation is None:
-        for _ in range(budget):
-            a, b = rng.choice(nonempty), rng.choice(nonempty)
-            checks["product"] += 1
-            lhs = trace_of(a) * trace_of(b)
-            rhs = trace_of(a * b) + trace_of(a.inverse() * b)
-            if not (lhs - rhs).is_zero:
-                violation = fail("product", a, b)
-                break
-    if violation is None:
-        for _ in range(budget):
-            a, b, c = (rng.choice(nonempty) for _ in range(3))
-            checks["triple"] += 1
-            lhs = trace_of(a) * trace_of(b) * trace_of(c) + trace_of(a * b * c) + trace_of(a * c * b)
-            rhs = (
-                trace_of(a * b) * trace_of(c)
-                + trace_of(b * c) * trace_of(a)
-                + trace_of(a * c) * trace_of(b)
-            )
-            if not (lhs - rhs).is_zero:
-                violation = fail("triple", a, b, c)
-                break
-    return AxiomReport(checks=checks, violation=violation)
+            ws = [rng.choice(nonempty) for _ in range(arity)]
+            checks[name] += 1
+            if not defect(*ws).is_zero:
+                violation = AxiomViolation(name, tuple(str(w) for w in ws))
+                return AxiomReport(checks=checks, violation=violation)
+    return AxiomReport(checks=checks, violation=None)
 
 
 # --- random SL2 sampling --------------------------------------------------

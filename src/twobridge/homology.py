@@ -36,7 +36,7 @@ from .padics import (
     gcd_normal_form,
 )
 from .presentations import TwoBridgePresentation
-from .words import FreeWord, gen
+from .words import FreeWord, gen, reduced_words
 
 
 class DegenerateRepresentation(ArithmeticError):
@@ -99,14 +99,13 @@ def boundary2(pres: TwoBridgePresentation, rep) -> BlockMatrix:
 
 
 def chain_contraction(pres: TwoBridgePresentation, rep) -> Mat2:
-    """sum_i rho(dr/dg_i) (rho(g_i) - I); zero for every representation
-    satisfying the relation."""
-    one, zero = rep.one, rep.zero
-    ident = Mat2.identity(one, zero)
-    acc = Mat2.identity(zero, zero)
-    for i in (1, 2):
-        d = fox_derivative(pres.relator, i)
-        acc = acc + apply_rep(rep, d, one, zero) * (rep(gen(i)) - ident)
+    """sum_i rho(dr/dg_i) (rho(g_i) - I), the composite of the two
+    boundary maps: block i of boundary2, transposed back, times block i
+    of boundary1. Zero for every representation satisfying the relation."""
+    d1, d2 = boundary1(pres, rep), boundary2(pres, rep)
+    acc = Mat2.identity(rep.zero, rep.zero)
+    for i in range(2):
+        acc = acc + d2.blocks[i][0].transpose() * d1.blocks[0][i]
     return acc
 
 
@@ -209,24 +208,6 @@ def twisted_alexander(pres: TwoBridgePresentation, rep) -> TwistedAlexander:
 # --- torsion criterion ----------------------------------------------------
 
 
-def _short_words(max_len: int) -> list[FreeWord]:
-    words: list[FreeWord] = []
-    seen = {FreeWord()}
-    frontier = [FreeWord()]
-    letters = [gen(1), gen(1, -1), gen(2), gen(2, -1)]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for letter in letters:
-                v = w * letter
-                if len(v) == len(w) + 1 and v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        words.extend(nxt)
-        frontier = nxt
-    return words
-
-
 @dataclass(frozen=True)
 class TorsionReport:
     """Certificate that H1 with universal coefficients is torsion."""
@@ -255,7 +236,7 @@ def torsion_criterion(pres: TwoBridgePresentation, rep, max_len: int = 3) -> Tor
     ident = Mat2.identity(one, zero)
     witness = None
     witness_det = None
-    for w in _short_words(max_len):
+    for w in reduced_words(max_len, include_identity=False):
         d = (rep(w) - ident).det()
         if not d.is_zero:
             witness, witness_det = w, d

@@ -32,10 +32,6 @@ class LaurentPoly:
         return cls(ring, {0: 1})
 
     @classmethod
-    def t_power(cls, ring: Zp, k: int, c: int = 1) -> "LaurentPoly":
-        return cls(ring, {k: c})
-
-    @classmethod
     def constant(cls, ring: Zp, c) -> "LaurentPoly":
         if isinstance(c, PadicInt):
             c = c.r

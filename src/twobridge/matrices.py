@@ -72,20 +72,6 @@ class Mat2:
         return "Mat2([[%s, %s], [%s, %s]])" % (self.a, self.b, self.c, self.d)
 
 
-def mat2_pow(m: Mat2, k: int, one, zero) -> Mat2:
-    """m^k for k >= 0, or sl2_inverse powers for k < 0."""
-    if k < 0:
-        return mat2_pow(m.sl2_inverse(), -k, one, zero)
-    out = Mat2.identity(one, zero)
-    base = m
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
-
-
 def word_matrix(assign: dict, word, one, zero) -> Mat2:
     """Image of a free word under a det-1 matrix assignment g_i -> Mat2.
 

@@ -348,12 +348,19 @@ class PadicSeries:
         """Evaluate at T = t0 with val(t0) >= 1, by Horner.
 
         Exact mod p^N whenever (D+1)*val(t0) >= N, since every discarded
-        tail term then has valuation >= N.
+        tail term then has valuation >= N; otherwise the tail could change
+        the low digits, so this raises Indeterminate.
         """
         if t0.ring != self.ring.base:
             raise ValueError("evaluation point from incompatible ring %r" % (t0.ring,))
         if t0.is_unit:
             raise ValueError("specialization point must lie in the maximal ideal")
+        N, D, v = self.ring.N, self.ring.D, t0.valuation()
+        if (D + 1) * v < N:
+            raise Indeterminate(
+                "specialization at val(t0) = %d with D = %d is exact only mod p^%d; "
+                "N = %d needs D >= %d" % (v, D, (D + 1) * v, N, -(-N // v) - 1)
+            )
         acc = self.ring.base.zero
         for c in reversed(self.coeffs):
             acc = acc * t0 + self.ring.base(c)

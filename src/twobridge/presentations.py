@@ -39,13 +39,6 @@ class TwoBridgePresentation:
     w: FreeWord
     relator: FreeWord
 
-    num_generators = 2
-    num_relators = 1
-
-    @property
-    def relators(self) -> tuple[FreeWord, ...]:
-        return (self.relator,)
-
     def __str__(self) -> str:
         return "<g1, g2 | %s> (B(%d,%d))" % (self.relator, self.m, self.n)
 

@@ -218,13 +218,9 @@ def matrix_D() -> Mat2:
 
 
 def riley_word_matrix(pres: TwoBridgePresentation) -> Mat2:
-    """W = C^eps1 D^eps2 C^eps3 ... over Z[t^(+-1), u]."""
-    C, D = matrix_C(), matrix_D()
-    W = Mat2.identity(_ONE, _ZERO)
-    for i, e in enumerate(pres.epsilon, start=1):
-        M = C if i % 2 == 1 else D
-        W = W * (M if e == 1 else M.sl2_inverse())
-    return W
+    """W = C^eps1 D^eps2 C^eps3 ... over Z[t^(+-1), u]: the image of w
+    under g1 -> C, g2 -> D."""
+    return word_matrix({1: matrix_C(), 2: matrix_D()}, pres.w, _ONE, _ZERO)
 
 
 def _symmetrize(phi: BivariatePoly) -> tuple[int, BivariatePoly]:
@@ -345,7 +341,8 @@ def build_modp_rep(
 
     Returns (rho(g1), rho(g2)) as Mat2 over Zp(p,1), or None when
     t^2 - x0 t + 1 has no root mod p. The caller should confirm the
-    relation; for (x0, y0) on the Riley curve it holds.
+    relation, as relation_holds(pres, Representation(Zp(p, 1), {1: g1,
+    2: g2})); for (x0, y0) on the Riley curve it holds.
     """
     ring = Zp(p, 1)
     disc = (x0 * x0 - 4) % p
@@ -362,9 +359,11 @@ def build_modp_rep(
     return g1, g2
 
 
-def relation_holds(pres: TwoBridgePresentation, g1: Mat2, g2: Mat2, one, zero) -> bool:
-    """Check rho(w) rho(g1) == rho(g2) rho(w) for det-1 assignments."""
-    assign = {1: g1, 2: g2}
-    lhs = word_matrix(assign, pres.w * gen(1), one, zero)
-    rhs = word_matrix(assign, gen(2) * pres.w, one, zero)
-    return lhs == rhs
+def relation_holds(pres: TwoBridgePresentation, rep) -> bool:
+    """Check rho(w g1) == rho(g2 w), the relation w g1 w^-1 g2^-1 = e.
+
+    rep is any evaluator taking a word to its Mat2 image, such as a
+    deformations.Representation, whose cache then holds both products
+    for the next check on the same representation.
+    """
+    return rep(pres.w * gen(1)) == rep(gen(2) * pres.w)

@@ -146,3 +146,22 @@ def parse_word(text: str) -> FreeWord:
         e = int(m.group(2)) if m.group(2) else 1
         runs.append((g, e))
     return FreeWord.from_runs(runs)
+
+
+def reduced_words(max_len: int, include_identity: bool = True) -> list[FreeWord]:
+    """All reduced words of length <= max_len in g1, g2, shortest first;
+    each length extends the previous one's words, in order, by g1,
+    g1^-1, g2, g2^-1."""
+    words = [FreeWord()] if include_identity else []
+    frontier = [FreeWord()]
+    letters = [gen(1), gen(1, -1), gen(2), gen(2, -1)]
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
+            for letter in letters:
+                v = w * letter
+                if len(v) == len(w) + 1:
+                    nxt.append(v)
+        words.extend(nxt)
+        frontier = nxt
+    return words

@@ -367,9 +367,10 @@ def rep_pool():
                 mats = build_modp_rep(pres, p, pt.x, pt.y)
                 if mats is None:
                     continue
-                if not relation_holds(pres, mats[0], mats[1], ring.one, ring.zero):
+                rep = Representation(ring, {1: mats[0], 2: mats[1]})
+                if not relation_holds(pres, rep):
                     continue
-                pool.append((pres, Representation(ring, {1: mats[0], 2: mats[1]})))
+                pool.append((pres, rep))
     return pool
 
 

@@ -126,6 +126,16 @@ def test_exit_code_1_indeterminate_message():
     assert "indeterminate (precision exhausted)" in r.stderr
 
 
+def test_verify_example_specialization_indeterminate():
+    # at D = 4 the specialization at x = 5 is exact only mod 11^5, so
+    # N = 20 must be reported as precision exhausted, not as a failure
+    r = run_cli("verify-example", "--id", "4.5.3a", "--prec", "20", "--deg", "4")
+    assert r.returncode == 1
+    assert "indeterminate (precision exhausted)" in r.stderr
+    assert "needs D >= 19" in r.stderr
+    assert "verification failed" not in r.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [

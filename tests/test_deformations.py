@@ -3,6 +3,7 @@ certificates, specialization, trace axioms, SL2 sampling."""
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -17,7 +18,7 @@ from twobridge.deformations import (
     trace_axioms,
     universality_certificate,
 )
-from twobridge.matrices import Mat2
+from twobridge.matrices import Mat2, word_matrix
 from twobridge.padics import Zp, ZpT
 from twobridge.riley import relation_holds
 from twobridge.words import FreeWord, gen
@@ -44,9 +45,7 @@ def test_family_construction(key):
         m = fam.rep.matrices[i]
         assert m.det() == fam.ring.one
         assert m.trace() == fam.trace_series
-    assert relation_holds(
-        fam.pres, fam.rep.matrices[1], fam.rep.matrices[2], fam.ring.one, fam.ring.zero
-    )
+    assert relation_holds(fam.pres, Representation(fam.ring, fam.rep.matrices))
     assert fam.rep.residue_matrices() == fam.expected_residual
 
 
@@ -124,7 +123,25 @@ def test_perturbed_family_fails_relation():
     fam = FAMILIES["rho1"]
     g1, g2 = fam.rep.matrices[1], fam.rep.matrices[2]
     bad = Mat2(g1.a + fam.ring.T, g1.b, g1.c, g1.d)
-    assert not relation_holds(fam.pres, bad, g2, fam.ring.one, fam.ring.zero)
+    assert not relation_holds(fam.pres, Representation(fam.ring, {1: bad, 2: g2}))
+
+
+def test_relation_words_evaluated_once(monkeypatch):
+    # build_family and universality_certificate both check the relation;
+    # the second check must read the products the first one cached
+    counts = {}
+
+    def counting(assign, word, one, zero):
+        counts[word] = counts.get(word, 0) + 1
+        return word_matrix(assign, word, one, zero)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "twobridge" and getattr(mod, "word_matrix", None) is word_matrix:
+            monkeypatch.setattr(mod, "word_matrix", counting)
+    fam = build_family("rho3")
+    assert universality_certificate(fam).relation_ok
+    assert counts.get(fam.pres.w * gen(1)) == 1
+    assert counts.get(gen(2) * fam.pres.w) == 1
 
 
 def test_branch_mismatch_detected():
@@ -150,9 +167,7 @@ def test_specialization(key, x_rat):
     for i in (1, 2):
         m = spec.rep.matrices[i]
         assert m.det() == base.one
-    assert relation_holds(
-        fam.pres, spec.rep.matrices[1], spec.rep.matrices[2], base.one, base.zero
-    )
+    assert relation_holds(fam.pres, Representation(base, spec.rep.matrices))
     assert spec.rep(gen(1)).trace() == base(x_rat)
     # the specialized auxiliary parameter still satisfies its cubic exactly
     x = base(x_rat)

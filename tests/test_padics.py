@@ -175,6 +175,16 @@ def test_specialize_exactness_threshold():
         f.specialize(base(1))  # unit t0 leaves the disk of convergence
 
 
+def test_specialize_indeterminate_below_threshold():
+    # (D+1) val(t0) < N: the dropped tail can reach the low digits, so the
+    # value is refused rather than returned with wrong digits
+    R = ZpT(3, 6, 2)
+    f = R([1, 1, 1])
+    assert f.specialize(R.base(9)).r == 1 + 9 + 81  # 3 * 2 >= 6: exact
+    with pytest.raises(Indeterminate, match="N = 6 needs D >= 5"):
+        f.specialize(R.base(3))  # 3 * 1 < 6
+
+
 def test_hensel_root_scalar():
     R = Zp(11, 8)
     # f(s) = (s - 4)(s - 7)(s - 1) has three simple roots mod 11

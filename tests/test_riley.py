@@ -8,6 +8,7 @@ the library.
 import pytest
 
 from oracles import rep_scan
+from twobridge.deformations import Representation
 from twobridge.matrices import Mat2
 from twobridge.padics import Zp
 from twobridge.presentations import two_bridge
@@ -144,7 +145,7 @@ def test_riley_consistency_at_rational_points(mnp):
             continue
         g1, g2 = pair
         assert g1.det() == 1 and g2.det() == 1
-        assert relation_holds(pres, g1, g2, ring.one, ring.zero)
+        assert relation_holds(pres, Representation(ring, {1: g1, 2: g2}))
         assert g1.trace() == q.x
         assert (g1 * g2).trace() == q.y
         realized += 1

@@ -1,0 +1,63 @@
+"""The benchmark's tracer and the demos, run against the package as it
+stands: a rename inside the package must not silently break either."""
+
+import importlib.util
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+import twobridge.cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _package_namespace() -> dict:
+    """Every module attribute of the package, and every class attribute
+    of the classes it defines, keyed by where it lives."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] != "twobridge":
+            continue
+        for key, value in vars(mod).items():
+            out[(name, key)] = value
+            if isinstance(value, type) and value.__module__ == name:
+                for attr, member in vars(value).items():
+                    out[(name, key, attr)] = member
+    return out
+
+
+def test_tracer_wraps_and_restores_the_package(capsys):
+    tracing = _load_tracing()
+    before = _package_namespace()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = _package_namespace()
+        assert wrapped["twobridge.riley", "relation_holds"] is not before["twobridge.riley", "relation_holds"]
+        assert twobridge.cli.main(["lift", "--example", "rho1", "--json"]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.startswith("{")
+    # build_family and the certificate each check the relation once
+    assert tracer.counts["cli.main.calls"] == 1
+    assert tracer.counts["riley.relation_holds.calls"] == 2
+    assert tracer.counts["matrices.word_matrix.calls"] > 0
+    assert tracer.counts["deformations.rep_eval.hits"] > 0
+    after = _package_namespace()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()
