@@ -17,7 +17,7 @@ from .groupring import fox_derivative
 from .homology import ad_cohomology, l_function, twisted_alexander
 from .padics import Indeterminate
 from .presentations import two_bridge
-from .registry import EXAMPLE_IDS, FAMILY_TO_ID, get_example
+from .registry import EXAMPLE_IDS, FAMILY_TO_ID
 from .riley import char_points, riley_polynomial
 from .verify import verify_example
 from .words import parse_word
@@ -56,8 +56,6 @@ def cmd_presentation(args) -> int:
 
 def cmd_fox(args) -> int:
     word = parse_word(args.word)
-    if args.gen < 1:
-        raise ValueError("generator index must be >= 1")
     elt = fox_derivative(word, args.gen)
     pairs = [[str(w), c] for w, c in elt.sorted_items()]
     payload = {"word": str(word), "gen": args.gen, "derivative": pairs}

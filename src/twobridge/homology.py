@@ -16,15 +16,19 @@ rho of degree 2:
   The composite of the two maps is the Fox identity pushed through rho:
   sum_i rho(dr_j/dg_i) (rho(g_i) - I) = rho(r_j - 1) = 0, exposed here
   as chain_contraction.
+
+The Fox images dr/dg_i come from pres.fox, computed once per
+presentation; boundary2, twisted_alexander and ad_cohomology only push
+them through their representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
-from .groupring import GroupRingElement, fox_derivative
+from .groupring import GroupRingElement
 from .laurent import LaurentPoly, divide_exact, eq_up_to_unit, laurent_gcd
 from .matrices import Mat2, det_general, mat_identity, mat_mul_modp, mat_sub_modp, rank_modp
 from .padics import (
@@ -84,18 +88,12 @@ def apply_rep(rep, elt: GroupRingElement, ring_one, ring_zero) -> Mat2:
 
 
 def boundary1(pres: TwoBridgePresentation, rep) -> BlockMatrix:
-    one, zero = rep.one, rep.zero
-    ident = Mat2.identity(one, zero)
+    ident = Mat2.identity(rep.one, rep.zero)
     return BlockMatrix((tuple(rep(gen(i)) - ident for i in (1, 2)),))
 
 
 def boundary2(pres: TwoBridgePresentation, rep) -> BlockMatrix:
-    one, zero = rep.one, rep.zero
-    rows = []
-    for i in (1, 2):
-        d = fox_derivative(pres.relator, i)
-        rows.append((apply_rep(rep, d, one, zero).transpose(),))
-    return BlockMatrix(tuple(rows))
+    return BlockMatrix(tuple((apply_rep(rep, d, rep.one, rep.zero).transpose(),) for d in pres.fox))
 
 
 def chain_contraction(pres: TwoBridgePresentation, rep) -> Mat2:
@@ -129,6 +127,13 @@ class AlexanderResult:
         if not den.is_unit:
             raise Indeterminate("denominator vanishes at t=1 and no exact quotient")
         return self.numerator.evaluate(1) * den.invert_unit()
+
+    def matches(self, expected: LaurentPoly) -> bool:
+        """The quotient equals expected up to unit; without an exact
+        quotient, the numerator equals expected * denominator up to unit."""
+        if self.quotient is not None:
+            return eq_up_to_unit(self.quotient, expected)
+        return eq_up_to_unit(self.numerator, expected * self.denominator)
 
     def to_json(self) -> dict:
         out = {
@@ -176,21 +181,16 @@ def twisted_alexander(pres: TwoBridgePresentation, rep) -> TwistedAlexander:
     ring = rep.ring
     if not isinstance(ring, Zp):
         raise TypeError("twisted_alexander needs PadicInt matrix entries")
+    zero = LaurentPoly.zero(ring)
     results = []
     for i in (1, 2):
-        other = 3 - i
-        num = det_general(
-            _phi_matrix(rep, fox_derivative(pres.relator, other), ring).rows(),
-            LaurentPoly.zero(ring),
-        )
         den_elt = GroupRingElement.from_word(gen(i)) - GroupRingElement.one()
-        den = det_general(_phi_matrix(rep, den_elt, ring).rows(), LaurentPoly.zero(ring))
+        den = det_general(_phi_matrix(rep, den_elt, ring).rows(), zero)
         if den.is_zero:
             continue
+        num = det_general(_phi_matrix(rep, pres.fox[2 - i], ring).rows(), zero)  # dr/dg_{3-i}
         quot = divide_exact(num, den)
-        results.append(
-            AlexanderResult(deleted_index=i, numerator=num, denominator=den, quotient=quot)
-        )
+        results.append(AlexanderResult(deleted_index=i, numerator=num, denominator=den, quotient=quot))
     if not results:
         raise DegenerateRepresentation("det Phi(g_i - 1) = 0 for every generator")
     for ra, rb in combinations(results, 2):
@@ -225,6 +225,29 @@ class TorsionReport:
             "holds": self.holds,
         }
 
+    @classmethod
+    def from_results(cls, witness: tuple, delta_at_one: PadicInt | None) -> TorsionReport:
+        """The verdict from torsion_witness and the twisted Alexander value
+        at t=1 of the same representation (None when it has none)."""
+        word, det = witness
+        holds = word is not None and delta_at_one is not None and not delta_at_one.is_zero
+        return cls(witness=word, witness_det=det, delta_at_one=delta_at_one, holds=holds)
+
+
+def det_minus_identity(rep, w: FreeWord) -> PadicInt:
+    """det(rho(w) - I)."""
+    return (rep(w) - Mat2.identity(rep.one, rep.zero)).det()
+
+
+def torsion_witness(rep, max_len: int = 3) -> tuple[FreeWord | None, PadicInt | None]:
+    """The first reduced word g (shortest first) with det(rho(g) - I) != 0,
+    and that determinant; (None, None) when every word up to max_len gives 0."""
+    for w in reduced_words(max_len, include_identity=False):
+        d = det_minus_identity(rep, w)
+        if not d.is_zero:
+            return w, d
+    return None, None
+
 
 def torsion_criterion(pres: TwoBridgePresentation, rep, max_len: int = 3) -> TorsionReport:
     """Search for g with det(rho(g) - I) != 0, and evaluate Delta(1).
@@ -232,22 +255,11 @@ def torsion_criterion(pres: TwoBridgePresentation, rep, max_len: int = 3) -> Tor
     Both conditions nonzero certify that the first twisted homology of
     the universal deformation is a torsion module.
     """
-    one, zero = rep.one, rep.zero
-    ident = Mat2.identity(one, zero)
-    witness = None
-    witness_det = None
-    for w in reduced_words(max_len, include_identity=False):
-        d = (rep(w) - ident).det()
-        if not d.is_zero:
-            witness, witness_det = w, d
-            break
-    delta1 = None
     try:
         delta1 = twisted_alexander(pres, rep).value_at_one()
     except (DegenerateRepresentation, Indeterminate):
-        pass
-    holds = witness is not None and delta1 is not None and not delta1.is_zero
-    return TorsionReport(witness=witness, witness_det=witness_det, delta_at_one=delta1, holds=holds)
+        delta1 = None
+    return TorsionReport.from_results(torsion_witness(rep, max_len), delta1)
 
 
 # --- Fitting ideals -------------------------------------------------------
@@ -266,6 +278,12 @@ class FittingResult:
     kind: str
     minors: tuple
     normal_form: object | None
+
+    @property
+    def certified_unit(self) -> bool:
+        """A certified unit normal form; only proper ideals carry one."""
+        nf = self.normal_form
+        return isinstance(nf, DivisorNormalForm) and nf.is_unit_form() and nf.certified
 
 
 def fitting_minors(rows: Sequence[Sequence], d: int) -> FittingResult:
@@ -366,31 +384,33 @@ class VanishingReport:
             "consistent": self.consistent,
         }
 
+    @classmethod
+    def from_results(
+        cls, d0: FittingResult, lres: LFunctionResult, residual_tors: TorsionReport
+    ) -> VanishingReport:
+        """The dichotomy checked on delta0_h0 and l_function of the family
+        and on the torsion report of its residual representation."""
+        delta1 = residual_tors.delta_at_one
+        if delta1 is None:
+            raise Indeterminate("residual Delta(1) could not be evaluated")
+        l_unit = lres.normal_form.is_unit_form()
+        consistent = True
+        if d0.certified_unit and not l_unit:
+            consistent = delta1.is_zero
+        if residual_tors.holds:
+            consistent = consistent and l_unit
+        return cls(
+            delta0_unit=d0.certified_unit,
+            l_form=lres.normal_form,
+            residual_delta_at_one=delta1,
+            residual_witness_det=residual_tors.witness_det,
+            consistent=consistent,
+        )
+
 
 def vanishing_link(pres: TwoBridgePresentation, rep, residual_rep) -> VanishingReport:
-    d0 = delta0_h0(pres, rep)
-    delta0_unit = (
-        d0.kind == "proper"
-        and isinstance(d0.normal_form, DivisorNormalForm)
-        and d0.normal_form.is_unit_form()
-        and d0.normal_form.certified
-    )
-    lres = l_function(pres, rep)
-    tors = torsion_criterion(pres, residual_rep)
-    delta1 = tors.delta_at_one
-    if delta1 is None:
-        raise Indeterminate("residual Delta(1) could not be evaluated")
-    consistent = True
-    if delta0_unit and not lres.normal_form.is_unit_form():
-        consistent = consistent and delta1.is_zero
-    if tors.holds:
-        consistent = consistent and lres.normal_form.is_unit_form()
-    return VanishingReport(
-        delta0_unit=delta0_unit,
-        l_form=lres.normal_form,
-        residual_delta_at_one=delta1,
-        residual_witness_det=tors.witness_det,
-        consistent=consistent,
+    return VanishingReport.from_results(
+        delta0_h0(pres, rep), l_function(pres, rep), torsion_criterion(pres, residual_rep)
     )
 
 
@@ -446,17 +466,11 @@ def ad_cohomology(pres: TwoBridgePresentation, rep) -> CohomologyDims:
     if not isinstance(ring, Zp) or ring.N != 1:
         raise ValueError("adjoint cohomology is computed over the residue field")
     p = ring.p
-    d0_rows: list[list[int]] = []
     ident3 = mat_identity(3)
-    for i in (1, 2):
-        blk = mat_sub_modp(_ad3(rep(gen(i)), p), ident3, p)
-        d0_rows.extend(blk)
-    d1_rows: list[list[int]] = [[0] * 6 for _ in range(3)]
-    for i in (1, 2):
-        blk = _ad_of_elt(rep, fox_derivative(pres.relator, i), p)
-        for r in range(3):
-            for c in range(3):
-                d1_rows[r][3 * (i - 1) + c] = blk[r][c]
+    # d0 stacks the blocks Ad(g_i) - I; d1 puts the Fox blocks side by side
+    d0_rows = [row for i in (1, 2) for row in mat_sub_modp(_ad3(rep(gen(i)), p), ident3, p)]
+    blk1, blk2 = (_ad_of_elt(rep, d, p) for d in pres.fox)
+    d1_rows = [r1 + r2 for r1, r2 in zip(blk1, blk2)]
     comp = mat_mul_modp(d1_rows, d0_rows, p)
     if any(any(x % p for x in row) for row in comp):
         raise ArithmeticError("d1 d0 != 0; representation does not satisfy the relation")

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
+from .groupring import GroupRingElement, fox_derivative
 from .words import FreeWord, gen
 
 
@@ -38,6 +40,11 @@ class TwoBridgePresentation:
     epsilon: tuple[int, ...]
     w: FreeWord
     relator: FreeWord
+
+    @cached_property
+    def fox(self) -> tuple[GroupRingElement, GroupRingElement]:
+        """(dr/dg1, dr/dg2), computed once per presentation on first use."""
+        return fox_derivative(self.relator, 1), fox_derivative(self.relator, 2)
 
     def __str__(self) -> str:
         return "<g1, g2 | %s> (B(%d,%d))" % (self.relator, self.m, self.n)

@@ -136,6 +136,18 @@ def test_verify_example_specialization_indeterminate():
     assert "verification failed" not in r.stderr
 
 
+def test_verify_example_lost_precision_indeterminate():
+    # the specialized Delta(1) of 4.5.3a is 0 mod 11^2 and agrees with its
+    # closed form, so N = 2 cannot decide that it is nonzero: that is
+    # precision exhausted, not a FAIL
+    r = run_cli("verify-example", "--id", "4.5.3a", "--prec", "2", "--deg", "2")
+    assert r.returncode == 1
+    assert "indeterminate (precision exhausted)" in r.stderr
+    assert "specialized-alexander-at-1" in r.stderr
+    assert "N = 2 cannot decide" in r.stderr
+    assert "FAIL" not in r.stdout and "result: FAILED" not in r.stdout
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -40,6 +40,9 @@ def test_trefoil_relator_derivatives():
         - grelt(parse_word("g1 g2 g1 g2^-1"))
         - grelt(pres.relator)
     )
+    # the presentation computes the pair once and keeps it
+    assert pres.fox == (d1, d2)
+    assert pres.fox is pres.fox
 
 
 def test_product_rule():

@@ -18,6 +18,10 @@ from twobridge.homology import (
     AlexanderResult,
     BlockMatrix,
     DegenerateRepresentation,
+    FittingResult,
+    LFunctionResult,
+    TorsionReport,
+    VanishingReport,
     ad_cohomology,
     apply_rep,
     boundary1,
@@ -329,6 +333,24 @@ def test_vanishing_link_consistent(key):
         assert rpt.residual_delta_at_one.is_zero
     js = rpt.to_json()
     assert js["consistent"] is True
+
+
+def test_vanishing_rule_negative_branch():
+    # Delta_0 a unit and L = T^2 force the residual Delta(1) = 0; a
+    # nonzero one is inconsistent, with or without a torsion witness
+    F = Zp(3, 1)
+    d0 = FittingResult(d=0, kind="proper", minors=(), normal_form=DivisorNormalForm(0, 0, True))
+    lres = LFunctionResult(minors=(), normal_form=DivisorNormalForm(0, 2, True))
+    for witness in ((None, None), (gen(1), F(1))):
+        tors = TorsionReport.from_results(witness, twisted_alexander(two_bridge(3, 1), TREFOIL_RES).value_at_one())
+        assert tors.delta_at_one == F(2)
+        rpt = VanishingReport.from_results(d0, lres, tors)
+        assert rpt.delta0_unit is True
+        assert rpt.consistent is False
+    for fam in FAMILIES.values():
+        res_tors = torsion_criterion(fam.pres, fam.rep.residual())
+        rpt = VanishingReport.from_results(delta0_h0(fam.pres, fam.rep), l_function(fam.pres, fam.rep), res_tors)
+        assert rpt.consistent is True
 
 
 # --- adjoint cohomology -----------------------------------------------------

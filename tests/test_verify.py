@@ -1,7 +1,12 @@
 """Example registry and the end-to-end verification reports."""
 
+import dataclasses
+import sys
+
 import pytest
 
+from twobridge import groupring, homology
+from twobridge.padics import Indeterminate
 from twobridge.registry import EXAMPLE_IDS, FAMILY_TO_ID, get_example
 from twobridge.deformations import build_family, specialize_family
 from twobridge.presentations import two_bridge
@@ -90,3 +95,41 @@ def test_verify_example_stability():
     assert (report.escalated.N, report.escalated.D) == (10, 10)
     js = report.to_json()
     assert js["stable"] is True and js["base"]["N"] == 6
+
+
+def test_run_example_computes_each_stage_once(monkeypatch):
+    # every row and the vanishing link read one result per stage; the
+    # Fox images are computed once, by the family's presentation
+    counts = {}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] = counts.get(fn.__name__, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for fn in (homology.l_function, homology.delta0_h0, homology.twisted_alexander, groupring.fox_derivative):
+        wrapped = counting(fn)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "twobridge" and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapped)
+    assert run_example("4.5.3a").ok
+    assert counts["l_function"] == 1
+    assert counts["delta0_h0"] == 1
+    assert counts["twisted_alexander"] == 2  # residual and specialized
+    assert counts.get("fox_derivative", 0) <= 2
+
+
+def test_specialized_zero_at_precision_is_indeterminate_but_mismatch_fails(monkeypatch):
+    # at N = 2 the specialized Delta(1) of 4.5.3a reads 0 and agrees with
+    # its closed form: undecided. Against a closed form it does not match,
+    # the same reading stays a FAIL.
+    with pytest.raises(Indeterminate, match="specialized-alexander-at-1.*N = 2"):
+        run_example("4.5.3a", N=2, D=2)
+    ex = get_example("4.5.3a")
+    wrong = dataclasses.replace(ex, expected_spec_delta_at_one=lambda spec: spec.rep.one)
+    monkeypatch.setattr("twobridge.verify.get_example", lambda example_id: wrong)
+    report = run_example("4.5.3a", N=2, D=2)
+    failed = {r.name for r in report.rows if not r.passed}
+    assert "specialized-alexander-at-1" in failed
