@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .matrices import Mat2, word_matrix
 from .padics import PadicInt, PadicSeries, Zp, ZpT, hensel_root, sqrt_positive
 from .presentations import TwoBridgePresentation, two_bridge
-from .riley import relation_holds, riley_polynomial
+from .riley import relation_holds
 from .words import FreeWord, gen, reduced_words
 
 
@@ -360,7 +360,7 @@ def universality_certificate(fam: DeformationFamily) -> Certificate:
     tr1 = res(gen(1)).trace().residue()
     tr12 = res(gen(1) * gen(2)).trace().residue()
     point_ok = tr1 == x0 % fam.p and tr12 == y0 % fam.p and fam.alpha.residue() == x0 % fam.p
-    psi = riley_polynomial(fam.pres).psi
+    psi = fam.pres.riley.psi
     val = psi.eval_modp(x0, y0, fam.p)
     der = psi.derivative_second().eval_modp(x0, y0, fam.p)
     return Certificate(

@@ -15,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from sympy import isprime
-from sympy.ntheory.residue_ntheory import sqrt_mod
-
 
 class NonUnit(ArithmeticError):
     """Inversion (or sqrt) applied to an element of positive valuation."""
@@ -39,6 +36,71 @@ class Indeterminate(ArithmeticError):
     """Result cannot be decided at the working precision."""
 
 
+# --- primality and square roots mod p ----------------------------------
+
+# The first 13 primes decide primality by strong probable-prime tests for
+# every n below _PROVEN_BOUND (Sorenson & Webster 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PROVEN_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the bases 2, 3, ..., 41.
+
+    Raises ValueError at and above 3317044064679887385961981, where
+    these bases are not proven to decide.
+    """
+    if n >= _PROVEN_BOUND:
+        raise ValueError("primality is decided only below %d, got %d" % (_PROVEN_BOUND, n))
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def sqrt_mod_prime(a: int, p: int) -> int | None:
+    """The square root of a mod the odd prime p in [0, (p-1)/2], or None.
+
+    Tonelli-Shanks (Shanks 1973); None when a is not a square mod p.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, half, p) != p - 1:
+        z += 1
+    # invariant: r^2 = a t, t has order dividing 2^(m-1), c has order 2^m
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
 def _newton_cap(modulus_exponent: int) -> int:
     # Newton doubles (p,T)-adic precision per step; small slack on top.
     return max(1, modulus_exponent.bit_length()) + 4
@@ -50,7 +112,7 @@ class Zp:
     __slots__ = ("p", "N", "modulus")
 
     def __init__(self, p: int, N: int):
-        if p == 2 or not isprime(p):
+        if p == 2 or not is_prime(p):
             raise ValueError("p must be an odd prime, got %r" % (p,))
         if N < 1:
             raise ValueError("precision N must be >= 1, got %r" % (N,))
@@ -430,13 +492,9 @@ def sqrt_positive(a):
         raise NonUnit("sqrt_positive requires a unit")
     p = a.ring.p
     r0 = a.residue()
-    seed_res = sqrt_mod(r0, p)
-    if seed_res is None or (seed_res * seed_res - r0) % p != 0:
+    seed_res = sqrt_mod_prime(r0, p)
+    if seed_res is None:
         raise NoSquareRoot("%d is not a quadratic residue mod %d" % (r0, p))
-    if seed_res == 0:
-        raise NoSquareRoot("residue 0 has no unit square root")
-    if seed_res > (p - 1) // 2:
-        seed_res = p - seed_res
     if isinstance(a, PadicInt):
         s = a.ring(seed_res)
     else:

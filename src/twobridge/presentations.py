@@ -46,6 +46,13 @@ class TwoBridgePresentation:
         """(dr/dg1, dr/dg2), computed once per presentation on first use."""
         return fox_derivative(self.relator, 1), fox_derivative(self.relator, 2)
 
+    @cached_property
+    def riley(self):
+        """The Riley polynomial data (riley.RileyData), computed on first use."""
+        from . import riley  # riley builds on this module
+
+        return riley.riley_polynomial(self)
+
     def __str__(self) -> str:
         return "<g1, g2 | %s> (B(%d,%d))" % (self.relator, self.m, self.n)
 

@@ -13,11 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy import isprime
-from sympy.ntheory.residue_ntheory import sqrt_mod
-
 from .matrices import Mat2, word_matrix
-from .padics import Zp
+from .padics import Zp, sqrt_mod_prime
 from .presentations import TwoBridgePresentation
 from .words import gen
 
@@ -301,11 +298,10 @@ def char_points(pres: TwoBridgePresentation, p: int) -> list[CharacterPoint]:
     A point is flagged absolutely irreducible iff Psi vanishes and the
     abelian-line factor does not.
     """
-    if not isprime(p) or p == 2:
-        raise ValueError("p must be an odd prime, got %r" % (p,))
+    Zp(p, 1)  # raises ValueError unless p is an odd prime
     if p > 10**4:
         raise ValueError("exhaustive scan guarded at p <= 10^4")
-    psi = riley_polynomial(pres).psi
+    psi = pres.riley.psi
     points = []
     for x0 in range(p):
         line_base = (x0 * x0 - 2) % p  # abelian line: y = x^2 - 2
@@ -345,9 +341,8 @@ def build_modp_rep(
     2: g2})); for (x0, y0) on the Riley curve it holds.
     """
     ring = Zp(p, 1)
-    disc = (x0 * x0 - 4) % p
-    root = sqrt_mod(disc, p)
-    if root is None or (root * root - disc) % p != 0:
+    root = sqrt_mod_prime(x0 * x0 - 4, p)
+    if root is None:
         return None
     a = ((x0 + root) * pow(2, -1, p)) % p
     if a % p == 0:

@@ -29,7 +29,7 @@ from .homology import (
 from .laurent import LaurentPoly
 from .padics import DivisorNormalForm, Indeterminate
 from .registry import get_example
-from .riley import char_points, riley_polynomial
+from .riley import char_points
 from .words import gen
 
 
@@ -76,7 +76,7 @@ def run_example(example_id: str, N: int = 8, D: int = 8) -> RunReport:
     fam = build_family(ex.family_key, N=N, D=D)
     pres = fam.pres
 
-    data = riley_polynomial(pres)
+    data = pres.riley
     got_terms = {(i, j): c for i, j, c in data.psi.sorted_terms()}
     row(
         "riley",

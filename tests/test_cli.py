@@ -148,6 +148,19 @@ def test_verify_example_lost_precision_indeterminate():
     assert "FAIL" not in r.stdout and "result: FAILED" not in r.stdout
 
 
+# primality is checked before the size guard; above the proven
+# Miller-Rabin bound the check refuses to decide
+CHAR_POINTS_P_ERRORS = {
+    "4": "p must be an odd prime, got 4",
+    "9": "p must be an odd prime, got 9",
+    "10007": "exhaustive scan guarded at p <= 10^4",
+    "1000000007": "exhaustive scan guarded at p <= 10^4",
+    "1000000008": "p must be an odd prime, got 1000000008",
+    "3317044064679887385961981": "primality is decided only below 3317044064679887385961981, "
+    "got 3317044064679887385961981",
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -157,12 +170,18 @@ def test_verify_example_lost_precision_indeterminate():
         ("fox", "--word", "g1", "--gen", "0"),
         ("char-points", "--m", "3", "--n", "1", "--p", "4"),
         ("char-points", "--m", "3", "--n", "1", "--p", "10007"),
+        ("char-points", "--m", "3", "--n", "1", "--p", "9"),
+        ("char-points", "--m", "3", "--n", "1", "--p", "1000000007"),
+        ("char-points", "--m", "3", "--n", "1", "--p", "1000000008"),
+        ("char-points", "--m", "3", "--n", "1", "--p", "3317044064679887385961981"),
     ],
 )
 def test_exit_code_2_parameter_errors(args):
     r = run_cli(*args)
     assert r.returncode == 2
     assert "parameter error" in r.stderr
+    if args[0] == "char-points":
+        assert r.stderr == "parameter error: %s\n" % CHAR_POINTS_P_ERRORS[args[-1]]
 
 
 @pytest.mark.parametrize(
@@ -177,6 +196,23 @@ def test_exit_code_2_parameter_errors(args):
 def test_exit_code_2_argparse_rejections(args):
     r = run_cli(*args)
     assert r.returncode == 2
+
+
+def test_runs_without_sympy():
+    # no runtime dependencies: with sympy unimportable, the commands that
+    # test primality and take square roots mod p still run
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "import twobridge.cli\n"
+        "for argv in (['char-points', '--m', '7', '--n', '3', '--p', '101', '--json'],\n"
+        "             ['lift', '--example', 'rho4', '--json']):\n"
+        "    assert twobridge.cli.main(argv) == 0, argv\n"
+        "assert sys.modules['sympy'] is None\n"
+        "assert not [name for name in sys.modules if name.startswith('sympy.')]\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
 
 
 def test_console_script_installed():

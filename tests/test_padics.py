@@ -1,5 +1,6 @@
-"""Truncated p-adic integers and power series: ring axioms, square
-roots against exhaustive oracles, Hensel lifting, gcd normal forms."""
+"""Truncated p-adic integers and power series: primality and square
+roots mod p, ring axioms, square roots against exhaustive oracles,
+Hensel lifting, gcd normal forms."""
 
 import random
 
@@ -18,12 +19,65 @@ from twobridge.padics import (
     ZpT,
     gcd_normal_form,
     hensel_root,
+    is_prime,
     poly_derivative,
     poly_eval,
+    sqrt_mod_prime,
     sqrt_positive,
 )
 
 SMALL_RINGS = [Zp(3, 4), Zp(5, 3), Zp(7, 3), Zp(11, 2)]
+
+PROVEN_BOUND = 3317044064679887385961981  # Sorenson & Webster 2017
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-5, 20000) if is_prime(n)] == [
+        n for n in range(-5, 20000) if trial_division_is_prime(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael
+        41041,  # Carmichael
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to bases 2, ..., 23
+        318665857834031151167461,  # strong pseudoprime to bases 2, ..., 37
+    ],
+)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_large_and_proven_bound():
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**61 - 1) * 1000003)
+    assert is_prime(1000000007)
+    assert not is_prime(1000000008)
+    # the bound itself is a strong pseudoprime to bases 2, ..., 41
+    for n in (PROVEN_BOUND, PROVEN_BOUND + 2, 2**127 - 1):
+        with pytest.raises(ValueError, match=str(PROVEN_BOUND)):
+            is_prime(n)
+
+
+def test_sqrt_mod_prime_matches_table_of_squares():
+    for p in range(3, 2000, 2):
+        if not trial_division_is_prime(p):
+            continue
+        smallest = {}
+        for x in range((p - 1) // 2, -1, -1):
+            smallest[x * x % p] = x
+        for a in range(p):
+            assert sqrt_mod_prime(a, p) == smallest.get(a), (a, p)
+    # a is read mod p
+    assert sqrt_mod_prime(-1, 13) == sqrt_mod_prime(12, 13) == 5
+    assert sqrt_mod_prime(2 + 7 * 10**30, 7) == 3
 
 
 def test_ring_construction_guards():

@@ -152,6 +152,24 @@ def test_riley_consistency_at_rational_points(mnp):
     assert realized >= 1
 
 
+def test_build_modp_rep_takes_the_small_root():
+    # the eigenvalue a = (x0 + r) / 2 uses the root r of x0^2 - 4 that
+    # lies in [0, (p-1)/2], at every absolutely irreducible point
+    realized = 0
+    for m, n in ((5, 3), (7, 3)):
+        pres = two_bridge(m, n)
+        for p in range(3, 100, 2):
+            if any(p % d == 0 for d in range(3, p, 2)):
+                continue
+            for q in char_points(pres, p):
+                pair = build_modp_rep(pres, p, q.x, q.y) if q.absolutely_irreducible else None
+                if pair is None:
+                    continue
+                assert (2 * pair[0].a.r - q.x) % p <= (p - 1) // 2
+                realized += 1
+    assert realized >= 900
+
+
 def test_discriminant_values():
     assert discriminant(2, 2, 2) == 0  # identity representation
     # abelian characters sit on y = x^2 - 2 and kill the discriminant

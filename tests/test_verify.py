@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from twobridge import groupring, homology
+from twobridge import groupring, homology, riley
 from twobridge.padics import Indeterminate
 from twobridge.registry import EXAMPLE_IDS, FAMILY_TO_ID, get_example
 from twobridge.deformations import build_family, specialize_family
@@ -99,7 +99,8 @@ def test_verify_example_stability():
 
 def test_run_example_computes_each_stage_once(monkeypatch):
     # every row and the vanishing link read one result per stage; the
-    # Fox images are computed once, by the family's presentation
+    # Fox images and the Riley polynomial are computed once, by the
+    # family's presentation
     counts = {}
 
     def counting(fn):
@@ -109,7 +110,13 @@ def test_run_example_computes_each_stage_once(monkeypatch):
 
         return wrapper
 
-    for fn in (homology.l_function, homology.delta0_h0, homology.twisted_alexander, groupring.fox_derivative):
+    for fn in (
+        homology.l_function,
+        homology.delta0_h0,
+        homology.twisted_alexander,
+        groupring.fox_derivative,
+        riley.riley_polynomial,
+    ):
         wrapped = counting(fn)
         for name, mod in list(sys.modules.items()):
             if name.split(".")[0] == "twobridge" and getattr(mod, fn.__name__, None) is fn:
@@ -119,6 +126,7 @@ def test_run_example_computes_each_stage_once(monkeypatch):
     assert counts["delta0_h0"] == 1
     assert counts["twisted_alexander"] == 2  # residual and specialized
     assert counts.get("fox_derivative", 0) <= 2
+    assert counts["riley_polynomial"] == 1
 
 
 def test_specialized_zero_at_precision_is_indeterminate_but_mismatch_fails(monkeypatch):
