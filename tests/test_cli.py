@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, exit codes, deterministic JSON."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from twobridge import cli
 
 CLI = [sys.executable, "-m", "twobridge.cli"]
 
@@ -74,6 +77,39 @@ def test_json_output_is_deterministic():
     b = run_cli("lfunction", "--example", "rho1", "--json")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+# SHA-256 of the --json stdout of each command at the default N = D = 8,
+# with its exit code; regenerate only for an intended output change
+GOLDEN_JSON = [
+    ("lift --example rho1", 0, "7746bc9ba2a9803f56a45383e4eea8c171d3bcf2582c5bc6628ad2181f31ddb4"),
+    ("lift --example rho2", 0, "8d6e5718231e8eb9c7257a76cbb5d716dd4ec41cd54ef81475a8ebc609b03603"),
+    ("lift --example rho3", 0, "61b0793ae06e46f5f1968994286be4a313f756f9bedb1bf10d8c5c9c93c9a3b5"),
+    ("lift --example rho4", 0, "81b62be8c7e08a1a50e13513921ce1f8273ed5c528c61f95e22925b1de8f9571"),
+    ("lfunction --example rho1", 0, "45d3f6b2c82a673cc6e9da09558dc575a34e8014d6acf8d5cd2ccf2be948c397"),
+    ("lfunction --example rho2", 0, "6b2b94956642a8c5768fba6bb5492a241477c8d0350cc021467c88c36e7f8920"),
+    ("lfunction --example rho3", 0, "84be8fe1bef5fdbba64e72ff973b7e60038508e149f91f69b56b3ab43232972a"),
+    ("lfunction --example rho4", 0, "84740a55d1455cf7c1fc46af5db2acb4890408a0b9427124e90d0234c7dac4bd"),
+    ("talex --example rho1", 0, "a6a9de880c667c83203a82aa24bb9357f6f66847f098e67df436011c9d4c16fb"),
+    ("talex --example rho2", 0, "942bd09448aa50bf5aa4ca539fc23bd31288e440777a0910ff438b90eddb5864"),
+    ("talex --example rho3", 0, "f657a6b568a93da1bc1546c5d3281424de0e5d4a3e135f7904b784d777b6e7be"),
+    ("talex --example rho4", 0, "8b6eaf923476fd559b371ee92c4cb5b9d9073b5db68ac4a619ff58bbdf36255d"),
+    ("cohomology --example rho1", 0, "d22d9c7f510c0365280aa634a809bb264ac385ed4bbb7e53cc9983fca6e270b3"),
+    ("cohomology --example rho2", 0, "75d9a72e78bc890e4f1fca1b4ab28851d0f6cc7718ec7410598e775cfdd3f95b"),
+    ("cohomology --example rho3", 0, "3e8e990575e2f82c9b460f25784c98a47362acaf2f76b0a82e10c89f5903c1d3"),
+    ("cohomology --example rho4", 0, "e87d8568b6222eac72a6dae44c5a0daaab2ede68ca5f877933a9944537f19d09"),
+    ("verify-example --id 4.5.1", 0, "1a85054a2a3aae9e16e2e3682646819fee9308ff11ba59a76f77cb703b6cff5b"),
+    ("verify-example --id 4.5.2", 0, "85280a7ed243be051a0b6c8600be44a197c94108cb0d2fc70ccaf5d459dc2986"),
+    ("verify-example --id 4.5.3a", 0, "9b94277c63b47204a4bcc935c836f4694f5ed15196e61405515620ebf263f0fc"),
+    ("verify-example --id 4.5.3b", 0, "9432d9d6b8efb3f9443c6150896d887b8f750647e15b613ad88c3d0a0ac657d0"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDEN_JSON, ids=[c for c, _, _ in GOLDEN_JSON])
+def test_json_output_golden(command, code, digest, capsys):
+    assert cli.main(command.split() + ["--json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_lift_certificate():
