@@ -9,13 +9,14 @@ whose residue lies in {1, ..., (p-1)/2}; a constructor whose result
 fails to reproduce the prescribed mod-p matrices raises BranchMismatch
 instead of switching branch.
 
-Four built-in families:
-
-  rho1  p=3,  B(3,1), alpha = 2
-  rho2  p=7,  B(5,3), alpha = -2
-  rho3  p=11, B(7,3), alpha = (3 - sqrt 5)/2, lower off-diagonal from a
-        cubic in one auxiliary series s
-  rho4  p=19, B(7,3), alpha = (3 + sqrt 5)/2, auxiliary series v
+The four built-in families rho1..rho4 share one constructor,
+_sl2_family: from x = alpha + T and the off-diagonal entries b, c of g1
+it takes q = sqrt(x^2 - 4 - 4bc) and sets g1 = [[(x+q)/2, b], [c, (x-q)/2]].
+g2 is g1 with its diagonal swapped (rho1, rho2, rho4) or with its
+off-diagonal negated (rho3).  Each build_rhoN states its knot, prime,
+alpha, character point and residual matrices once, and computes only
+its own c: a constant for rho1, from an auxiliary square root u for
+rho2, and from the Hensel root s (rho3) or v (rho4) of an auxiliary cubic.
 """
 
 from __future__ import annotations
@@ -115,57 +116,47 @@ def _verify_family(fam: DeformationFamily) -> DeformationFamily:
     return fam
 
 
-def build_rho1(N: int = 8, D: int = 8) -> DeformationFamily:
-    p = 3
-    ring = ZpT(p, N, D)
-    base = ring.base
-    half = base(2).invert_unit()
-    quarter = half * half
-    alpha = base(2)
-    x = ring([alpha.r, 1])
-    q = sqrt_positive(x * x - 3)
-    g1 = Mat2((x + q) * half, ring.constant(-1), ring.constant(quarter), (x - q) * half)
-    g2 = Mat2((x - q) * half, ring.constant(-1), ring.constant(quarter), (x + q) * half)
+def _sl2_family(key, pres, x, b, c, char_point, expected_residual, params, negate_off_diagonal=False):
+    """The family over x.ring with trace series x = alpha + T, as in the module
+    docstring; q joins params."""
+    ring = x.ring
+    half = ring.base(2).invert_unit()
+    q = sqrt_positive(x * x - 4 - b * c * 4)
+    g1 = Mat2((x + q) * half, b, c, (x - q) * half)
+    g2 = Mat2(g1.a, -b, -c, g1.d) if negate_off_diagonal else Mat2(g1.d, b, c, g1.a)
     fam = DeformationFamily(
-        key="rho1",
-        pres=two_bridge(3, 1),
-        p=p,
+        key=key,
+        pres=pres,
+        p=ring.p,
         ring=ring,
-        alpha=alpha,
+        alpha=x.constant_term(),
         rep=Representation(ring, {1: g1, 2: g2}),
-        char_point=(2, 1),
-        expected_residual=(((0, 2), (1, 2)), ((2, 2), (1, 0))),
-        params={"q": q},
+        char_point=char_point,
+        expected_residual=expected_residual,
+        params={**params, "q": q},
     )
     return _verify_family(fam)
+
+
+def build_rho1(N: int = 8, D: int = 8) -> DeformationFamily:
+    ring = ZpT(3, N, D)
+    c = ring.constant(ring.base(4).invert_unit())
+    return _sl2_family(
+        "rho1", two_bridge(3, 1), ring([2, 1]), ring.constant(-1), c,
+        (2, 1), (((0, 2), (1, 2)), ((2, 2), (1, 0))), {},
+    )
 
 
 def build_rho2(N: int = 8, D: int = 8) -> DeformationFamily:
-    p = 7
-    ring = ZpT(p, N, D)
-    base = ring.base
-    half = base(2).invert_unit()
-    inv8 = base(8).invert_unit()
-    alpha = base(-2)
-    x = ring([alpha.r, 1])
+    ring = ZpT(7, N, D)
+    x = ring([-2, 1])
     x2 = x * x
     u = sqrt_positive((x2 - 1) * (x2 - 5))
-    q = sqrt_positive((x2 - 5 + u) * half)
-    c = -(x2 - 3 - u) * inv8
-    g1 = Mat2((x + q) * half, ring.constant(-1), c, (x - q) * half)
-    g2 = Mat2((x - q) * half, ring.constant(-1), c, (x + q) * half)
-    fam = DeformationFamily(
-        key="rho2",
-        pres=two_bridge(5, 3),
-        p=p,
-        ring=ring,
-        alpha=alpha,
-        rep=Representation(ring, {1: g1, 2: g2}),
-        char_point=(5, 5),
-        expected_residual=(((0, 6), (1, 5)), ((5, 6), (1, 0))),
-        params={"u": u, "q": q},
+    c = -(x2 - 3 - u) * ring.base(8).invert_unit()
+    return _sl2_family(
+        "rho2", two_bridge(5, 3), x, ring.constant(-1), c,
+        (5, 5), (((0, 6), (1, 5)), ((5, 6), (1, 0))), {"u": u},
     )
-    return _verify_family(fam)
 
 
 def _cubic_rho3(ring: ZpT, x: PadicSeries) -> list[PadicSeries]:
@@ -194,59 +185,32 @@ def _cubic_rho4(ring: ZpT, x: PadicSeries) -> list[PadicSeries]:
 
 
 def build_rho3(N: int = 8, D: int = 8) -> DeformationFamily:
-    p = 11
-    ring = ZpT(p, N, D)
+    ring = ZpT(11, N, D)
     base = ring.base
-    half = base(2).invert_unit()
-    quarter = half * half
     sqrt5 = sqrt_positive(base(5))
-    alpha = (base(3) - sqrt5) * half
-    xi = (base(4) - sqrt5) * quarter
+    alpha = (base(3) - sqrt5) * base(2).invert_unit()
+    xi = (base(4) - sqrt5) * base(4).invert_unit()
     x = ring([alpha.r, 1])
     s = hensel_root(_cubic_rho3(ring, x), ring.constant(xi))
-    q = sqrt_positive(x * x - s * 4)
-    g1 = Mat2((x + q) * half, ring.constant(-1), -s + 1, (x - q) * half)
-    g2 = Mat2((x + q) * half, ring.constant(1), s - 1, (x - q) * half)
-    fam = DeformationFamily(
-        key="rho3",
-        pres=two_bridge(7, 3),
-        p=p,
-        ring=ring,
-        alpha=alpha,
-        rep=Representation(ring, {1: g1, 2: g2}),
-        char_point=(5, 5),
-        expected_residual=(((5, 10), (1, 0)), ((5, 1), (10, 0))),
-        params={"s": s, "q": q, "xi": xi, "sqrt5": sqrt5},
+    return _sl2_family(
+        "rho3", two_bridge(7, 3), x, ring.constant(-1), -s + 1,
+        (5, 5), (((5, 10), (1, 0)), ((5, 1), (10, 0))), {"s": s, "xi": xi, "sqrt5": sqrt5},
+        negate_off_diagonal=True,
     )
-    return _verify_family(fam)
 
 
 def build_rho4(N: int = 8, D: int = 8) -> DeformationFamily:
-    p = 19
-    ring = ZpT(p, N, D)
+    ring = ZpT(19, N, D)
     base = ring.base
-    half = base(2).invert_unit()
-    inv8 = base(8).invert_unit()
     sqrt5 = sqrt_positive(base(5))
-    beta = (base(3) + sqrt5) * half
-    zeta = (base(7) + sqrt5) * inv8
-    x = ring([beta.r, 1])
+    alpha = (base(3) + sqrt5) * base(2).invert_unit()
+    zeta = (base(7) + sqrt5) * base(8).invert_unit()
+    x = ring([alpha.r, 1])
     v = hensel_root(_cubic_rho4(ring, x), ring.constant(zeta))
-    q = sqrt_positive(x * x - v * 4)
-    g1 = Mat2((x + q) * half, ring.constant(1), v - 1, (x - q) * half)
-    g2 = Mat2((x - q) * half, ring.constant(1), v - 1, (x + q) * half)
-    fam = DeformationFamily(
-        key="rho4",
-        pres=two_bridge(7, 3),
-        p=p,
-        ring=ring,
-        alpha=beta,
-        rep=Representation(ring, {1: g1, 2: g2}),
-        char_point=(6, 6),
-        expected_residual=(((14, 1), (1, 11)), ((11, 1), (1, 14))),
-        params={"v": v, "q": q, "zeta": zeta, "sqrt5": sqrt5},
+    return _sl2_family(
+        "rho4", two_bridge(7, 3), x, ring.constant(1), v - 1,
+        (6, 6), (((14, 1), (1, 11)), ((11, 1), (1, 14))), {"v": v, "zeta": zeta, "sqrt5": sqrt5},
     )
-    return _verify_family(fam)
 
 
 FAMILY_BUILDERS = {

@@ -79,11 +79,11 @@ class BlockMatrix:
         return out
 
 
-def apply_rep(rep, elt: GroupRingElement, ring_one, ring_zero) -> Mat2:
+def apply_rep(rep, elt: GroupRingElement) -> Mat2:
     """Linear extension of a word representation to the group ring."""
-    acc = Mat2.identity(ring_zero, ring_zero)
+    acc = Mat2.identity(rep.zero, rep.zero)
     for w, c in elt.items():
-        acc = acc + rep(w).scale(ring_one * c)
+        acc = acc + rep(w).scale(c)
     return acc
 
 
@@ -93,7 +93,7 @@ def boundary1(pres: TwoBridgePresentation, rep) -> BlockMatrix:
 
 
 def boundary2(pres: TwoBridgePresentation, rep) -> BlockMatrix:
-    return BlockMatrix(tuple((apply_rep(rep, d, rep.one, rep.zero).transpose(),) for d in pres.fox))
+    return BlockMatrix(tuple((apply_rep(rep, d).transpose(),) for d in pres.fox))
 
 
 def chain_contraction(pres: TwoBridgePresentation, rep) -> Mat2:

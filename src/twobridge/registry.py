@@ -1,9 +1,10 @@
 """Catalog of the four worked pipeline examples.
 
-Each entry ties a deformation family to its reference values: the
-defining character point, the expected residual matrices and Alexander
-data, closed forms for the six 2-minors of the second boundary map
-where known, and the expected gcd normal form of the L-function.
+Each entry ties a deformation family, which states its own knot, prime,
+character point and residual matrices, to its reference values: the
+residual Alexander data, closed forms for the six 2-minors of the
+second boundary map where known, and the expected gcd normal form of
+the L-function.
 
 Ids are opaque labels fixed by the command-line contract: 4.5.1 and
 4.5.2 are the two torsion-free cases (trefoil at p=3, figure-eight at
@@ -130,10 +131,6 @@ class ExampleSpec:
 
     id: str
     family_key: str
-    m: int
-    n: int
-    p: int
-    char_point: tuple[int, int]
     expected_l: tuple[int, int]
     expected_delta0_unit: bool
     residual_delta_coeffs: dict[int, int]
@@ -145,19 +142,11 @@ class ExampleSpec:
     expected_spec_delta: Callable[[Specialization], LaurentPoly] | None = None
     expected_spec_delta_at_one: Callable[[Specialization], PadicInt] | None = None
 
-    @property
-    def psi_terms(self) -> dict:
-        return RILEY_PSI_TERMS[(self.m, self.n)]
-
 
 EXAMPLES = {
     "4.5.1": ExampleSpec(
         id="4.5.1",
         family_key="rho1",
-        m=3,
-        n=1,
-        p=3,
-        char_point=(2, 1),
         expected_l=(0, 0),
         expected_delta0_unit=True,
         residual_delta_coeffs={0: 1, 2: 1},
@@ -167,10 +156,6 @@ EXAMPLES = {
     "4.5.2": ExampleSpec(
         id="4.5.2",
         family_key="rho2",
-        m=5,
-        n=3,
-        p=7,
-        char_point=(5, 5),
         expected_l=(0, 0),
         expected_delta0_unit=True,
         residual_delta_coeffs={-2: 1, -1: 4, 0: 1},
@@ -180,10 +165,6 @@ EXAMPLES = {
     "4.5.3a": ExampleSpec(
         id="4.5.3a",
         family_key="rho3",
-        m=7,
-        n=3,
-        p=11,
-        char_point=(5, 5),
         expected_l=(0, 2),
         expected_delta0_unit=True,
         residual_delta_coeffs={0: 5, 1: 1, 2: 5},
@@ -198,10 +179,6 @@ EXAMPLES = {
     "4.5.3b": ExampleSpec(
         id="4.5.3b",
         family_key="rho4",
-        m=7,
-        n=3,
-        p=19,
-        char_point=(6, 6),
         expected_l=(0, 2),
         expected_delta0_unit=True,
         residual_delta_coeffs={0: 6, 1: 7, 2: 6},

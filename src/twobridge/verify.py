@@ -28,7 +28,7 @@ from .homology import (
 )
 from .laurent import LaurentPoly
 from .padics import DivisorNormalForm, Indeterminate
-from .registry import get_example
+from .registry import RILEY_PSI_TERMS, get_example
 from .riley import char_points
 from .words import gen
 
@@ -74,13 +74,13 @@ def run_example(example_id: str, N: int = 8, D: int = 8) -> RunReport:
         rows.append(CheckRow(name=name, passed=bool(passed), detail=detail))
 
     fam = build_family(ex.family_key, N=N, D=D)
-    pres = fam.pres
+    pres, p = fam.pres, fam.p
 
     data = pres.riley
     got_terms = {(i, j): c for i, j, c in data.psi.sorted_terms()}
     row(
         "riley",
-        got_terms == ex.psi_terms,
+        got_terms == RILEY_PSI_TERMS[(pres.m, pres.n)],
         "psi(x,y) = %s" % data.psi.text(("x", "y")),
     )
 
@@ -101,7 +101,7 @@ def run_example(example_id: str, N: int = 8, D: int = 8) -> RunReport:
 
     res_rep = fam.rep.residual()
     det_g2 = det_minus_identity(res_rep, gen(2)).residue()
-    row("residual-det-g2", det_g2 == ex.residual_det_g2 % ex.p, "det(rho(g2)-I) = %d mod %d" % (det_g2, ex.p))
+    row("residual-det-g2", det_g2 == ex.residual_det_g2 % p, "det(rho(g2)-I) = %d mod %d" % (det_g2, p))
 
     ta = twisted_alexander(pres, res_rep)
     prim = ta.primary()
@@ -111,16 +111,16 @@ def run_example(example_id: str, N: int = 8, D: int = 8) -> RunReport:
     delta1 = ta.value_at_one()
     row(
         "alexander-residual-at-1",
-        delta1.residue() == ex.residual_delta_at_one_residue % ex.p,
-        "Delta(1) = %d mod %d" % (delta1.residue(), ex.p),
+        delta1.residue() == ex.residual_delta_at_one_residue % p,
+        "Delta(1) = %d mod %d" % (delta1.residue(), p),
     )
 
-    pts = char_points(pres, ex.p)
+    pts = char_points(pres, p)
     flagged = {(pt.x, pt.y) for pt in pts if pt.absolutely_irreducible}
     row(
         "char-point",
-        ex.char_point in flagged,
-        "(%d, %d) absolutely irreducible over F_%d" % (*ex.char_point, ex.p),
+        fam.char_point in flagged,
+        "(%d, %d) absolutely irreducible over F_%d" % (*fam.char_point, p),
     )
 
     coh = ad_cohomology(pres, res_rep)
@@ -163,7 +163,7 @@ def run_example(example_id: str, N: int = 8, D: int = 8) -> RunReport:
             # a value in Z/p^N that reads 0 is not shown to be 0
             raise Indeterminate(
                 "specialized-alexander-at-1: Delta(1) = 0 mod %d^%d; "
-                "N = %d cannot decide whether it is nonzero" % (ex.p, N, N)
+                "N = %d cannot decide whether it is nonzero" % (p, N, N)
             )
         row("specialized-alexander-at-1", sagree, "Delta(1) = %s nonzero" % sdelta1)
         tors = TorsionReport.from_results(torsion_witness(spec.rep), sdelta1)
@@ -182,6 +182,10 @@ def run_example(example_id: str, N: int = 8, D: int = 8) -> RunReport:
     )
 
     return RunReport(example_id=example_id, N=N, D=D, rows=tuple(rows), l_form=nf)
+
+
+# the escalated run adds this to both N and D
+ESCALATION_STEP = 4
 
 
 @dataclass(frozen=True)
@@ -203,9 +207,9 @@ class VerifyReport:
         }
 
 
-def verify_example(example_id: str, N: int = 8, D: int = 8, step: int = 4) -> VerifyReport:
+def verify_example(example_id: str, N: int = 8, D: int = 8) -> VerifyReport:
     base = run_example(example_id, N=N, D=D)
-    escalated = run_example(example_id, N=N + step, D=D + step)
+    escalated = run_example(example_id, N=N + ESCALATION_STEP, D=D + ESCALATION_STEP)
     stable = (
         base.l_form is not None
         and escalated.l_form is not None

@@ -80,7 +80,7 @@ def test_apply_rep_linearity():
     ring = TREFOIL_RES.ring
     e = GroupRingElement.one()
     g1 = GroupRingElement.from_word(gen(1))
-    got = apply_rep(TREFOIL_RES, e + g1 * 2, ring.one, ring.zero)
+    got = apply_rep(TREFOIL_RES, e + g1 * 2)
     ident = Mat2.identity(ring.one, ring.zero)
     assert got == ident + TREFOIL_RES(gen(1)).scale(ring(2))
 

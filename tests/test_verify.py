@@ -7,9 +7,8 @@ import pytest
 
 from twobridge import groupring, homology, riley
 from twobridge.padics import Indeterminate
-from twobridge.registry import EXAMPLE_IDS, FAMILY_TO_ID, get_example
+from twobridge.registry import EXAMPLE_IDS, FAMILY_TO_ID, RILEY_PSI_TERMS, get_example
 from twobridge.deformations import build_family, specialize_family
-from twobridge.presentations import two_bridge
 from twobridge.riley import riley_polynomial
 from twobridge.verify import run_example, verify_example
 
@@ -47,13 +46,16 @@ def test_registry_ids():
     }
     with pytest.raises(ValueError):
         get_example("4.5.9")
+    # each reference Psi belongs to the knot of some example's family
+    knots = {(fam.pres.m, fam.pres.n) for fam in map(build_family, FAMILY_TO_ID)}
+    assert knots == set(RILEY_PSI_TERMS)
 
 
 @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
 def test_registry_psi_terms_match_riley(example_id):
-    ex = get_example(example_id)
-    psi = riley_polynomial(two_bridge(ex.m, ex.n)).psi
-    assert psi.terms == ex.psi_terms
+    # the knot comes from the example's family, as in run_example
+    pres = build_family(get_example(example_id).family_key).pres
+    assert riley_polynomial(pres).psi.terms == RILEY_PSI_TERMS[(pres.m, pres.n)]
 
 
 @pytest.mark.parametrize("example_id", ["4.5.3a", "4.5.3b"])
