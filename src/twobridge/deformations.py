@@ -37,9 +37,11 @@ class BranchMismatch(ArithmeticError):
 
 
 class Representation:
-    """Determinant-1 matrix assignment for the two generators, over
-    Zp(p, N) or ZpT(p, N, D); words evaluate through word_matrix with a
-    per-word cache."""
+    """Matrix assignment for the two generators over Zp(p, N) or
+    ZpT(p, N, D), each of determinant exactly 1 (inverse letters are
+    adjugates), with a per-word cache: a letter evaluates through
+    word_matrix, a longer word w as rep(w minus its last letter) times
+    rep(last letter), from its longest cached prefix on."""
 
     __slots__ = ("ring", "matrices", "_cache")
 
@@ -62,9 +64,16 @@ class Representation:
 
     def __call__(self, word: FreeWord) -> Mat2:
         m = self._cache.get(word)
-        if m is None:
-            m = word_matrix(self.matrices, word, self.one, self.zero)
-            self._cache[word] = m
+        if m is None and len(word) < 2:
+            m = self._cache[word] = word_matrix(self.matrices, word, self.one, self.zero)
+        elif m is None:
+            k = len(word) - 1  # the longest cached prefix, else the first letter
+            while k > 1 and word.prefix(k) not in self._cache:
+                k -= 1
+            m = self(word.prefix(k))
+            for j in range(k, len(word)):
+                m = m * self(FreeWord(word.letters[j : j + 1]))
+                self._cache[word.prefix(j + 1)] = m
         return m
 
     def residual(self) -> "Representation":
@@ -387,26 +396,32 @@ def trace_axioms(
       triple      T(a)T(b)T(c) + T(abc) + T(acb)
                     = T(ab)T(c) + T(bc)T(a) + T(ac)T(b)
 
-    override maps reduced words to replacement trace values; it exists
-    so tests can corrupt a single value and watch an axiom fail.
+    T(a b) is tr(rep(a) rep(b)) and T(a b c) is tr((rep(a) rep(b)) rep(c)),
+    which is T of the reduced product word as rep has determinant exactly 1.
+    override maps reduced product words to replacement trace values; it
+    exists so tests can corrupt a single value and watch an axiom fail.
     """
     override = override or {}
 
-    def T(w: FreeWord):
-        if w in override:
-            return override[w]
-        return rep(w).trace()
+    def T(*factors: FreeWord):
+        if override and (w := FreeWord(x for f in factors for x in f)) in override:
+            return override[w]  # looked up by the reduced product word
+        *head, n = [rep(f) for f in factors]
+        if not head:
+            return n.trace()
+        m = head[0] * head[1] if len(head) == 2 else head[0]
+        return m.a * n.a + m.b * n.c + m.c * n.b + m.d * n.d
 
     # (name, arity, defect): an identity holds on a sample iff its defect is zero
     identities = (
-        ("symmetry", 2, lambda a, b: T(a * b) - T(b * a)),
-        ("square", 1, lambda a: T(a) * T(a) - T(a * a) - 2),
-        ("product", 2, lambda a, b: T(a) * T(b) - (T(a * b) + T(a.inverse() * b))),
+        ("symmetry", 2, lambda a, b: T(a, b) - T(b, a)),
+        ("square", 1, lambda a: T(a) * T(a) - T(a, a) - 2),
+        ("product", 2, lambda a, b: T(a) * T(b) - (T(a, b) + T(a.inverse(), b))),
         (
             "triple",
             3,
-            lambda a, b, c: T(a) * T(b) * T(c) + T(a * b * c) + T(a * c * b)
-            - (T(a * b) * T(c) + T(b * c) * T(a) + T(a * c) * T(b)),
+            lambda a, b, c: T(a) * T(b) * T(c) + T(a, b, c) + T(a, c, b)
+            - (T(a, b) * T(c) + T(b, c) * T(a) + T(a, c) * T(b)),
         ),
     )
     nonempty = reduced_words(max_len, include_identity=False)

@@ -339,17 +339,15 @@ class PadicSeries:
         if not isinstance(other, PadicSeries):
             return NotImplemented
         self._check(other)
-        m = self.ring.base.modulus
         D = self.ring.D
+        bs = other.coeffs
         out = [0] * (D + 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(D + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % m
-        return PadicSeries(self.ring, tuple(out))
+            if a:
+                for j in range(D + 1 - i):
+                    out[i + j] += a * bs[j]
+        m = self.ring.base.modulus
+        return PadicSeries(self.ring, tuple(c % m for c in out))  # one reduction per coefficient
 
     __rmul__ = __mul__
 

@@ -51,6 +51,12 @@ class FreeWord:
             return NotImplemented
         return FreeWord(self.letters + other.letters)
 
+    def prefix(self, k: int) -> "FreeWord":
+        """The first k letters, not reduced again: a prefix of a reduced word is reduced."""
+        w = object.__new__(FreeWord)
+        object.__setattr__(w, "letters", self.letters[:k])
+        return w
+
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((g, -s) for g, s in reversed(self.letters)))
 
@@ -156,12 +162,7 @@ def reduced_words(max_len: int, include_identity: bool = True) -> list[FreeWord]
     frontier = [FreeWord()]
     letters = [gen(1), gen(1, -1), gen(2), gen(2, -1)]
     for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for letter in letters:
-                v = w * letter
-                if len(v) == len(w) + 1:
-                    nxt.append(v)
+        nxt = [v for w in frontier for v in (w * x for x in letters) if len(v) > len(w)]
         words.extend(nxt)
         frontier = nxt
     return words

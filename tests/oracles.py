@@ -74,3 +74,11 @@ def rep_scan(m, n, p):
             if on_line or rel:
                 out[(x0, y0)] = (on_line, rel and not on_line)
     return out
+
+
+def series_product(a, b, modulus, D):
+    """Coefficients of a * b truncated after T^D, each reduced mod
+    modulus: the schoolbook convolution of two integer lists."""
+    a = list(a) + [0] * (D + 1 - len(a))
+    b = list(b) + [0] * (D + 1 - len(b))
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) % modulus for k in range(D + 1)]

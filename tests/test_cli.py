@@ -234,6 +234,22 @@ def test_exit_code_2_argparse_rejections(args):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_closed_stdout_exits_1_without_traceback(flags):
+    # as in `twobridge char-points ... | head -1`: the reader goes away
+    # before the output is written
+    proc = subprocess.Popen(
+        CLI + ["char-points", "--m", "7", "--n", "3", "--p", "101"] + flags,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert err == b""
+
+
 def test_runs_without_sympy():
     # no runtime dependencies: with sympy unimportable, the commands that
     # test primality and take square roots mod p still run

@@ -3,7 +3,6 @@ certificates, specialization, trace axioms, SL2 sampling."""
 
 import dataclasses
 import random
-import sys
 
 import pytest
 
@@ -129,19 +128,20 @@ def test_perturbed_family_fails_relation():
 def test_relation_words_evaluated_once(monkeypatch):
     # build_family and universality_certificate both check the relation;
     # the second check must read the products the first one cached
-    counts = {}
-
-    def counting(assign, word, one, zero):
-        counts[word] = counts.get(word, 0) + 1
-        return word_matrix(assign, word, one, zero)
-
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "twobridge" and getattr(mod, "word_matrix", None) is word_matrix:
-            monkeypatch.setattr(mod, "word_matrix", counting)
     fam = build_family("rho3")
+    assert fam.pres.w * gen(1) in fam.rep._cache
+    assert gen(2) * fam.pres.w in fam.rep._cache
+    rings = []
+    mul = Mat2.__mul__
+
+    def counting(self, other):
+        rings.append(getattr(self.a, "ring", None))
+        return mul(self, other)
+
+    monkeypatch.setattr(Mat2, "__mul__", counting)
     assert universality_certificate(fam).relation_ok
-    assert counts.get(fam.pres.w * gen(1)) == 1
-    assert counts.get(gen(2) * fam.pres.w) == 1
+    # the point check and the Riley polynomial multiply; nothing over the family's ring
+    assert rings and fam.ring not in rings
 
 
 def test_branch_mismatch_detected():
@@ -243,6 +243,97 @@ def test_trace_axioms_detect_corruption():
     assert bad.violation is not None
     js = bad.to_json()
     assert js["ok"] is False and js["violation"]["axiom"] == bad.violation.axiom
+
+
+def _evaluator_reps():
+    rng = random.Random(17)
+    ring = Zp(7, 2)
+    reps = {"random_sl2": Representation(ring, {1: random_sl2(rng, ring), 2: random_sl2(rng, ring)})}
+    for key in KEYS:
+        reps[key] = FAMILIES[key].rep
+        reps[key + "-residual"] = FAMILIES[key].rep.residual()
+    return reps
+
+
+@pytest.mark.parametrize("name", ["random_sl2"] + [k + s for k in KEYS for s in ("", "-residual")])
+def test_representation_matches_word_matrix(name):
+    # the prefix-sharing evaluator against products taken from scratch,
+    # on fresh caches filled shortest-first and in shuffled order
+    rep = _evaluator_reps()[name]
+    words = reduced_words(5)
+    expected = {w: word_matrix(rep.matrices, w, rep.one, rep.zero) for w in words}
+    shuffled = list(words)
+    random.Random(5).shuffle(shuffled)
+    for order in (words, shuffled):
+        fresh = Representation(rep.ring, rep.matrices)
+        for w in order:
+            assert fresh(w) == expected[w], (name, str(w))
+
+
+def test_representation_long_word_without_recursion():
+    rep = FAMILIES["rho2"].rep.residual()
+    rng = random.Random(23)
+    w = FreeWord.from_runs([(1 + k % 2, rng.choice((-3, -2, -1, 1, 2, 3))) for k in range(1000)])
+    assert len(w) >= 1500
+    assert rep(w) == word_matrix(rep.matrices, w, rep.one, rep.zero)
+    assert rep(w.prefix(len(w) - 1)) * rep(FreeWord(w.letters[-1:])) == rep(w)
+
+
+def _reference_trace_axioms(rep, max_len, budget, seed, override):
+    """trace_axioms with every T(w) the trace of word_matrix(w) for the
+    reduced product word w, unless override names w."""
+    memo = {}
+
+    def T(w):
+        if w in override:
+            return override[w]
+        if w not in memo:
+            memo[w] = word_matrix(rep.matrices, w, rep.one, rep.zero).trace()
+        return memo[w]
+
+    identities = (
+        ("symmetry", 2, lambda a, b: T(a * b) - T(b * a)),
+        ("square", 1, lambda a: T(a) * T(a) - T(a * a) - 2),
+        ("product", 2, lambda a, b: T(a) * T(b) - (T(a * b) + T(a.inverse() * b))),
+        (
+            "triple",
+            3,
+            lambda a, b, c: T(a) * T(b) * T(c) + T(a * b * c) + T(a * c * b)
+            - (T(a * b) * T(c) + T(b * c) * T(a) + T(a * c) * T(b)),
+        ),
+    )
+    pool = reduced_words(max_len, include_identity=False)
+    rng = random.Random(seed)
+    checks = {"central": 1, "symmetry": 0, "square": 0, "product": 0, "triple": 0}
+    if not (T(FreeWord()) - 2).is_zero:
+        return checks, ("central", ("e",))
+    for name, arity, defect in identities:
+        for _ in range(budget):
+            ws = [rng.choice(pool) for _ in range(arity)]
+            checks[name] += 1
+            if not defect(*ws).is_zero:
+                return checks, (name, tuple(str(w) for w in ws))
+    return checks, None
+
+
+@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("corrupt", [None, "e", "g1", "g1 g2"])
+def test_trace_axioms_match_per_word_reference(key, corrupt):
+    # products from cached factors read the same values, overrides and all;
+    # with max_len = 1 only a product of two samples reaches g1 g2
+    fam = FAMILIES[key]
+    max_len = 1 if corrupt == "g1 g2" else 3
+    override = {}
+    if corrupt is not None:
+        w = {"e": FreeWord(), "g1": gen(1), "g1 g2": gen(1) * gen(2)}[corrupt]
+        override[w] = fam.rep(w).trace() + 1
+    for seed in (0, 1):
+        report = trace_axioms(fam.rep, max_len=max_len, budget=40, seed=seed, override=override)
+        checks, violation = _reference_trace_axioms(fam.rep, max_len, 40, seed, override)
+        assert report.checks == checks
+        got = report.violation and (report.violation.axiom, report.violation.words)
+        assert got == violation
+        assert (violation is None) == (corrupt is None)
 
 
 def test_reduced_words_census():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import series_product
 
 from twobridge.padics import (
     BadSeed,
@@ -183,6 +184,41 @@ def test_series_arithmetic():
     assert h.coeffs == (4, 8, 13 % 125, 2, 3)
     assert (f * 1) == f
     assert (f ** 2) == f * f
+
+
+def _coefficients(draw, modulus, D):
+    """Zero, constant, sparse or dense coefficients below modulus."""
+    kind = draw(st.sampled_from(["zero", "constant", "sparse", "dense"]))
+    if kind == "zero":
+        return [0] * (D + 1)
+    if kind == "constant":
+        return [draw(st.integers(1, modulus - 1))] + [0] * D
+    digit = st.integers(0, modulus - 1)
+    if kind == "sparse":
+        support = draw(st.sets(st.integers(0, D), min_size=1, max_size=3))
+        return [draw(digit) if k in support else 0 for k in range(D + 1)]
+    return [draw(digit) for _ in range(D + 1)]
+
+
+@st.composite
+def _series_pairs(draw):
+    p = draw(st.sampled_from([3, 5, 11, 19, 101, 65537, 2**61 - 1]))
+    digits = draw(st.integers(1, 8))  # p^N spans 1 to 8 64-bit machine digits
+    N = max(1, 64 * digits // p.bit_length())
+    D = draw(st.integers(0, 40))
+    R = ZpT(p, N, D)
+    modulus = R.base.modulus
+    return R, _coefficients(draw, modulus, D), _coefficients(draw, modulus, D)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_series_pairs())
+def test_series_mul_matches_schoolbook_convolution(case):
+    R, a, b = case
+    f, g = R(a), R(b)
+    expected = tuple(series_product(a, b, R.base.modulus, R.D))
+    assert (f * g).coeffs == expected
+    assert (g * f).coeffs == expected
 
 
 def test_series_inversion():
