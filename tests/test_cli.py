@@ -102,6 +102,14 @@ GOLDEN_JSON = [
     ("verify-example --id 4.5.2", 0, "85280a7ed243be051a0b6c8600be44a197c94108cb0d2fc70ccaf5d459dc2986"),
     ("verify-example --id 4.5.3a", 0, "9b94277c63b47204a4bcc935c836f4694f5ed15196e61405515620ebf263f0fc"),
     ("verify-example --id 4.5.3b", 0, "9432d9d6b8efb3f9443c6150896d887b8f750647e15b613ad88c3d0a0ac657d0"),
+    ("riley --m 31 --n -9", 0, "cdeb2e7512d09cd9a6c00df81a319dbe110a3b274ce20bbc9d075e84955e7533"),
+    ("riley --m 47 --n -15", 0, "3d73d261ae6c2938970ca4bae24b765d1b5dd71be5b7a4521f34e5a9225e99f2"),
+    ("riley --m 63 --n -19", 0, "9e797d090aef452d6eec72690e064b1e1d15581bd481d4a275e5ecafb63cd741"),
+    ("char-points --m 5 --n 3 --p 157", 0, "550564152524f72cc9a6ee28fed6d8acfc8addd756c490ecc0ffff082d6b7ca1"),
+    ("char-points --m 7 --n 3 --p 211", 0, "c64d15273bede820088141c5ab3e8f0472d27b080f36281187fac0963b37156a"),
+    ("char-points --m 9 --n 5 --p 241", 0, "7b14a1e475cf543eeea3c9cee441f9e80e56132ca883b072fed12f1c7a36eb1f"),
+    ("char-points --m 11 --n 5 --p 281", 0, "64dbbdc63c130eb3c49946a505211e0f28280eb4a7c52b92eeb0f1a15bf0affa"),
+    ("char-points --m 7 --n 3 --p 1009", 0, "34430a79d24cd374ec444280453e5085ba38b552046150f4b404d1b7e1ad728c"),
 ]
 
 
