@@ -246,6 +246,16 @@ def _poly_divmod_field(r: dict[int, int], d: dict[int, int], p: int):
     return q, r
 
 
+def _poly_gcd_field(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
+    """Monic gcd over F_p of two exponent -> residue dicts (zero is {})."""
+    while b:
+        a, b = b, _poly_divmod_field(a, b, p)[1]
+    if not a:
+        return {}
+    inv = pow(a[max(a)], -1, p)
+    return {e: (c * inv) % p for e, c in a.items()}
+
+
 def laurent_gcd(polys: list[LaurentPoly]) -> LaurentPoly:
     """Monic gcd in F_p[t, t^-1], normalized to minimal exponent 0.
 
@@ -261,18 +271,9 @@ def laurent_gcd(polys: list[LaurentPoly]) -> LaurentPoly:
     ring = nonzero[0].ring
     if ring.N != 1:
         raise NotImplementedError("laurent_gcd requires the residue field (N=1)")
-    p = ring.p
-    acc = {e - nonzero[0].min_exp(): c for e, c in nonzero[0].coeffs.items()}
-    for f in nonzero[1:]:
-        other = {e - f.min_exp(): c for e, c in f.coeffs.items()}
-        while other:
-            _, rem = _poly_divmod_field(acc, other, p)
-            acc = other
-            if rem:
-                shift = min(rem)
-                other = {e - shift: c for e, c in rem.items()}
-            else:
-                other = {}
-    lead = acc[max(acc)]
-    inv = pow(lead, -1, p)
-    return LaurentPoly(ring, {e: (c * inv) % p for e, c in acc.items()})
+    # t is a unit: each input's gcd is that of its copy with a nonzero
+    # constant term, and the polynomial gcd of such copies has one too
+    acc = {}
+    for f in nonzero:
+        acc = _poly_gcd_field(acc, f.shift(-f.min_exp()).coeffs, ring.p)
+    return LaurentPoly(ring, acc)

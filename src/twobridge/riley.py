@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .laurent import _poly_divmod_field, _poly_gcd_field
 from .matrices import Mat2, word_matrix
 from .padics import Zp, sqrt_mod_prime
 from .presentations import TwoBridgePresentation
@@ -36,6 +37,14 @@ class BivariatePoly:
             if c:
                 clean[(i, j)] = c
         self.terms = clean
+
+    @classmethod
+    def _wrap(cls, terms: dict[tuple[int, int], int]) -> "BivariatePoly":
+        """Adopt terms that are already clean (no zero coefficient, no
+        negative second exponent) without copying them."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     # constructors -------------------------------------------------------
 
@@ -84,6 +93,16 @@ class BivariatePoly:
             return BivariatePoly({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, BivariatePoly):
             return NotImplemented
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        if not small:  # the zero entries of C and D in the word matrix
+            return BivariatePoly()
+        if len(small) == 1:
+            # a monomial factor shifts exponents and scales coefficients;
+            # over Z no product vanishes and no two keys collide
+            (((i2, j2), c2),) = small.items()
+            return BivariatePoly._wrap({(i1 + i2, j1 + j2): c1 * c2 for (i1, j1), c1 in big.items()})
         out: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
@@ -138,13 +157,16 @@ class BivariatePoly:
         return BivariatePoly({(i, 0): c for (i, jj), c in self.terms.items() if jj == j})
 
     def substitute_second(self, repl: "BivariatePoly") -> "BivariatePoly":
-        """Replace the second variable by repl (given in the target vars)."""
+        """Replace the second variable by repl (given in the target vars),
+        by Horner's rule: out = out * repl + column_j from the top j down."""
+        columns: dict[int, dict[tuple[int, int], int]] = {}
+        for (i, j), c in self.terms.items():
+            columns.setdefault(j, {})[(i, 0)] = c
         out = BivariatePoly()
-        powers = {0: BivariatePoly.constant(1)}
-        for (i, j), c in sorted(self.terms.items()):
-            if j not in powers:
-                powers[j] = repl ** j
-            out = out + BivariatePoly({(i, 0): c}) * powers[j]
+        for j in range(self.degree_second(), -1, -1):
+            out = out * repl
+            if j in columns:
+                out = out + BivariatePoly._wrap(columns[j])
         return out
 
     def derivative_second(self) -> "BivariatePoly":
@@ -292,31 +314,93 @@ class CharacterPoint:
         }
 
 
-def char_points(pres: TwoBridgePresentation, p: int) -> list[CharacterPoint]:
-    """All F_p-points of the character scheme (y - x^2 + 2) * Psi = 0.
+def _mulmod(a: dict[int, int], b: dict[int, int], f: dict[int, int], p: int) -> dict[int, int]:
+    """a * b mod f over F_p, on exponent -> residue dicts."""
+    prod: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
+    return _poly_divmod_field({e: c % p for e, c in prod.items() if c % p}, f, p)[1]
 
-    A point is flagged absolutely irreducible iff Psi vanishes and the
-    abelian-line factor does not.
+
+def _powmod(base: dict[int, int], k: int, f: dict[int, int], p: int) -> dict[int, int]:
+    """base^k mod f over F_p by square-and-multiply, for k >= 1."""
+    out = _poly_divmod_field(base, f, p)[1]
+    for bit in bin(k)[3:]:
+        out = _mulmod(out, out, f, p)
+        if bit == "1":
+            out = _mulmod(out, base, f, p)
+    return out
+
+
+def _roots_modp(f: dict[int, int], p: int) -> list[int]:
+    """The distinct roots in F_p of a nonzero f over F_p, p an odd prime.
+
+    g = gcd(f, y^p - y) is the product of (y - r) over those roots. Each
+    factor of g of degree d > 1 is split by gcd with (y + a)^((p-1)/2) - 1
+    for a = 0, 1, 2, ...: that gcd collects the roots r with r + a a
+    nonzero square. For two roots r1 != r2 the ratio (r1 + a)/(r2 + a)
+    runs over every non-residue as a runs over F_p, so some a < p splits.
+    """
+    if max(f) == 0:
+        return []
+    yp = _powmod({1: 1}, p, f, p)
+    yp[1] = (yp.get(1, 0) - 1) % p
+    g = _poly_gcd_field(f, {e: c for e, c in yp.items() if c}, p)
+    roots, todo = [], [g] if max(g) else []
+    while todo:
+        h = todo.pop()
+        if max(h) == 1:
+            roots.append(-h.get(0, 0) % p)
+            continue
+        for a in range(p):
+            w = _powmod({0: a, 1: 1} if a else {1: 1}, (p - 1) // 2, h, p)
+            w[0] = (w.get(0, 0) - 1) % p
+            s = _poly_gcd_field(h, {e: c for e, c in w.items() if c}, p)
+            if 0 < max(s) < max(h):
+                todo += [s, _poly_divmod_field(h, s, p)[0]]
+                break
+    return sorted(roots)
+
+
+def char_points(pres: TwoBridgePresentation, p: int) -> list[CharacterPoint]:
+    """All F_p-points of the character scheme (y - x^2 + 2) * Psi = 0,
+    in (x, y) order.
+
+    For each x0, Psi(x0, y) is reduced once to a polynomial in y over
+    F_p and its roots are found by _roots_modp; when it vanishes
+    identically every y is a point. The abelian line contributes
+    y = x0^2 - 2. A point is flagged absolutely irreducible iff Psi
+    vanishes and the abelian-line factor does not.
+
+    p must be an odd prime <= 10^4. The guard's message still speaks of
+    an exhaustive scan; it is part of the CLI's pinned output.
     """
     Zp(p, 1)  # raises ValueError unless p is an odd prime
     if p > 10**4:
         raise ValueError("exhaustive scan guarded at p <= 10^4")
-    psi = pres.riley.psi
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), c in pres.riley.psi.terms.items():
+        columns.setdefault(j, []).append((i, c))
     points = []
     for x0 in range(p):
         line_base = (x0 * x0 - 2) % p  # abelian line: y = x^2 - 2
-        for y0 in range(p):
+        f = {}
+        for j, col in columns.items():
+            v = sum(c * pow(x0, i, p) for i, c in col) % p
+            if v:
+                f[j] = v
+        zeros = set(_roots_modp(f, p) if f else range(p))
+        for y0 in sorted(zeros | {line_base}):
             on_line = y0 == line_base
-            phi_v = psi.eval_modp(x0, y0, p)
-            if on_line or phi_v == 0:
-                points.append(
-                    CharacterPoint(
-                        x=x0,
-                        y=y0,
-                        on_abelian_line=on_line,
-                        absolutely_irreducible=(phi_v == 0 and not on_line),
-                    )
+            points.append(
+                CharacterPoint(
+                    x=x0,
+                    y=y0,
+                    on_abelian_line=on_line,
+                    absolutely_irreducible=(y0 in zeros and not on_line),
                 )
+            )
     return points
 
 

@@ -5,7 +5,8 @@ package under test, plain integer arithmetic only. The character-scheme
 scan decides membership of (x0, y0) by exhibiting an actual pair of
 2x2 matrices over F_p[z]/(z^2 - x0 z + 1) and checking the single group
 relation, rather than by evaluating any polynomial produced by the
-library.
+library. psi_scan does evaluate a given Psi, point by point, so it
+checks only how the points of that Psi are found.
 """
 
 
@@ -82,3 +83,46 @@ def series_product(a, b, modulus, D):
     a = list(a) + [0] * (D + 1 - len(a))
     b = list(b) + [0] * (D + 1 - len(b))
     return [sum(a[i] * b[k - i] for i in range(k + 1)) % modulus for k in range(D + 1)]
+
+
+def psi_scan(terms, p):
+    """Scan F_p x F_p by evaluating Psi at every point; same output as
+    rep_scan. terms is {(i, j): c} for c * x^i * y^j with i, j >= 0."""
+    top_i = max((i for i, _ in terms), default=0)
+    top_j = max((j for _, j in terms), default=0)
+    ypow = [[pow(y0, j, p) for j in range(top_j + 1)] for y0 in range(p)]
+    out = {}
+    for x0 in range(p):
+        xs = [pow(x0, i, p) for i in range(top_i + 1)]
+        line_y = (x0 * x0 - 2) % p
+        for y0 in range(p):
+            ys = ypow[y0]
+            on_line = y0 == line_y
+            zero = sum(c * xs[i] * ys[j] for (i, j), c in terms.items()) % p == 0
+            if on_line or zero:
+                out[(x0, y0)] = (on_line, zero and not on_line)
+    return out
+
+
+def bivariate_product(a, b):
+    """Schoolbook product of two {(i, j): c} dicts, zeros dropped."""
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def substitute_by_powers(terms, repl):
+    """sum of c * x^i * repl^j over the {(i, j): c} terms, with each
+    power repl^j built by repeated multiplication."""
+    top = max((j for _, j in terms), default=0)
+    powers = [{(0, 0): 1}]
+    for _ in range(top):
+        powers.append(bivariate_product(powers[-1], repl))
+    out = {}
+    for (i, j), c in terms.items():
+        for (a, b), d in powers[j].items():
+            out[(a + i, b)] = out.get((a + i, b), 0) + c * d
+    return {k: c for k, c in out.items() if c}

@@ -2,18 +2,25 @@
 
 The character-scheme enumeration is cross-checked against the
 representation-existence scan in oracles.py, which shares no code with
-the library.
+the library, and against a point-by-point evaluation of Psi at larger
+primes. The F_p root finder, Horner substitution and the monomial
+product are checked against brute force and the old formulas.
 """
 
-import pytest
+import math
+from types import SimpleNamespace
 
-from oracles import rep_scan
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from oracles import bivariate_product, psi_scan, rep_scan, substitute_by_powers
 from twobridge.deformations import Representation
 from twobridge.matrices import Mat2
 from twobridge.padics import Zp
 from twobridge.presentations import two_bridge
 from twobridge.riley import (
     BivariatePoly,
+    _roots_modp,
     build_modp_rep,
     char_points,
     discriminant,
@@ -39,6 +46,26 @@ PSI_GOLDENS = {
 }
 
 EXAMPLE_COMBOS = [(3, 1, 3), (5, 3, 7), (7, 3, 11), (7, 3, 19)]
+
+
+def _odd_primes(below):
+    return [p for p in range(3, below, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+
+
+# every B(m, n) with m <= 11 at every odd prime p < 40: the rep_scan
+# oracle costs about p^2 * m, and this bound keeps the sweep near 8 s
+SCAN_COMBOS = [
+    (m, n, p)
+    for m in range(3, 12, 2)
+    for n in range(2 - m, m, 2)
+    if math.gcd(m, n) == 1
+    for p in _odd_primes(40)
+]
+REP_SCAN_COMBOS = EXAMPLE_COMBOS + [(3, 1, 7), (5, 3, 5), (7, 3, 5)]
+REP_SCAN_COMBOS += [c for c in SCAN_COMBOS if c not in REP_SCAN_COMBOS]
+
+# the knots whose character points the benchmark's riley workload scans
+CHAR_KNOTS = ((5, 3), (7, 3), (9, 5), (11, 5))
 
 
 @pytest.mark.parametrize("mn", sorted(PSI_GOLDENS))
@@ -119,7 +146,7 @@ def test_designated_points_absolutely_irreducible(mnp, designated):
     assert pts[designated].absolutely_irreducible
 
 
-@pytest.mark.parametrize("mnp", EXAMPLE_COMBOS + [(3, 1, 7), (5, 3, 5), (7, 3, 5)])
+@pytest.mark.parametrize("mnp", REP_SCAN_COMBOS)
 def test_char_points_agree_with_rep_scan(mnp):
     m, n, p = mnp
     got = {
@@ -127,6 +154,105 @@ def test_char_points_agree_with_rep_scan(mnp):
         for q in char_points(two_bridge(m, n), p)
     }
     assert got == rep_scan(m, n, p)
+
+
+@pytest.mark.parametrize("p", [3, 13, 101, 283, 397])
+@pytest.mark.parametrize("mn", CHAR_KNOTS)
+def test_char_points_agree_with_psi_scan(mn, p):
+    pres = two_bridge(*mn)
+    pts = char_points(pres, p)
+    got = {(q.x, q.y): (q.on_abelian_line, q.absolutely_irreducible) for q in pts}
+    assert got == psi_scan(pres.riley.psi.terms, p)
+    assert [(q.x, q.y) for q in pts] == sorted(got)
+
+
+def _nonresidues(p):
+    return [a for a in range(1, p) if pow(a, (p - 1) // 2, p) == p - 1]
+
+
+def _poly_mul_modp(a, b, p):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = (out.get(e1 + e2, 0) + c1 * c2) % p
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def _structured_polys(draw):
+    """(f, p): a nonzero f over F_p of degree 0-12 built from a leading
+    coefficient, linear factors (repeats allowed), irreducible quadratics
+    y^2 + b y + c (discriminant a non-residue) and one arbitrary factor."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 1009]))
+    f = {0: draw(st.integers(1, p - 1))}
+    for r in draw(st.lists(st.integers(0, p - 1), max_size=6)):
+        f = _poly_mul_modp(f, {0: -r % p, 1: 1}, p)
+    for _ in range(draw(st.integers(0, 2))):
+        b = draw(st.integers(0, p - 1))
+        nr = draw(st.sampled_from(_nonresidues(p)))
+        c = (b * b - nr) * pow(4, -1, p) % p
+        f = _poly_mul_modp(f, {0: c, 1: b, 2: 1}, p)
+    other = draw(st.lists(st.integers(0, p - 1), max_size=3))
+    if any(other):
+        f = _poly_mul_modp(f, dict(enumerate(other)), p)
+    return f, p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_structured_polys())
+@example(({0: 1}, 3))
+@example(({1: 1}, 5))
+@example(({1: 4, 3: 1}, 5))  # y^3 - y: roots 0, 1, 4
+@example(({1: 6, 7: 1}, 7))  # y^7 - y: every element of F_7
+@example(({1: 10, 11: 3, 12: 2}, 11))  # degree > p, leading coefficient 2
+@example(({0: 1, 2: 1}, 7))  # y^2 + 1, irreducible mod 7
+@example(({0: 1, 1: 1, 2: 2, 3: 1, 4: 1}, 3))  # (y^2 + 1)(y - 1)^2
+def test_roots_modp_matches_brute_force(fp):
+    f, p = fp
+    brute = [y for y in range(p) if sum(c * pow(y, e, p) for e, c in f.items()) % p == 0]
+    assert _roots_modp(f, p) == brute
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_char_points_where_psi_vanishes_in_y(p):
+    # Psi = x (y + x) vanishes for every y at x = 0
+    psi = BivariatePoly({(1, 1): 1, (2, 0): 1})
+    pres = SimpleNamespace(riley=SimpleNamespace(psi=psi))
+    got = {(q.x, q.y): (q.on_abelian_line, q.absolutely_irreducible) for q in char_points(pres, p)}
+    assert got == psi_scan(psi.terms, p)
+    assert sum(1 for x0, _ in got if x0 == 0) == p
+
+
+_coeffs = st.integers(-6, 6)
+_bivariate = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(0, 5)), _coeffs, max_size=12)
+_monomial = st.tuples(st.integers(-3, 3), st.integers(0, 3), st.integers(-6, 6).filter(bool))
+
+
+def _clean(terms):
+    return {k: c for k, c in terms.items() if c}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_bivariate, st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(0, 2)), _coeffs, max_size=4))
+def test_substitute_second_matches_power_sums(terms, repl):
+    got = BivariatePoly(terms).substitute_second(BivariatePoly(repl))
+    assert got.terms == substitute_by_powers(_clean(terms), _clean(repl))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_bivariate, _monomial, _monomial, st.integers(-4, 4))
+def test_mul_matches_schoolbook_with_monomials(terms, mono1, mono2, k):
+    f = BivariatePoly(terms)
+    m1 = {(mono1[0], mono1[1]): mono1[2]}
+    m2 = {(mono2[0], mono2[1]): mono2[2]}
+    f_terms = _clean(terms)
+    assert (BivariatePoly(m1) * f).terms == bivariate_product(m1, f_terms)
+    assert (f * BivariatePoly(m1)).terms == bivariate_product(f_terms, m1)
+    assert (BivariatePoly(m1) * BivariatePoly(m2)).terms == bivariate_product(m1, m2)
+    assert (f * f).terms == bivariate_product(f_terms, f_terms)
+    assert (f * k).terms == (k * f).terms == bivariate_product(f_terms, {(0, 0): k})
+    # the product is a new polynomial: its factors are left as they were
+    assert f.terms == f_terms and BivariatePoly(m1).terms == m1
 
 
 @pytest.mark.parametrize("mnp", EXAMPLE_COMBOS)

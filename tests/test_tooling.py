@@ -57,6 +57,26 @@ def test_tracer_wraps_and_restores_the_package(capsys):
     assert [k for k in before if after[k] is not before[k]] == []
 
 
+def test_tracer_counts_the_riley_kernels(capsys):
+    tracing = _load_tracing()
+    before = _package_namespace()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert twobridge.cli.main(["riley", "--m", "31", "--n", "-9", "--json"]) == 0
+        assert twobridge.cli.main(["char-points", "--m", "7", "--n", "3", "--p", "101", "--json"]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.count("{") >= 2
+    for name in ("riley_polynomial", "substitute_second", "bivariate_mul", "char_points"):
+        assert tracer.counts["riley.%s.calls" % name] > 0, name
+    # char_points reduces Psi once per x and never evaluates it point by point
+    assert tracer.counts["riley.eval_modp.calls"] == 0
+    after = _package_namespace()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
