@@ -110,6 +110,14 @@ GOLDEN_JSON = [
     ("char-points --m 9 --n 5 --p 241", 0, "7b14a1e475cf543eeea3c9cee441f9e80e56132ca883b072fed12f1c7a36eb1f"),
     ("char-points --m 11 --n 5 --p 281", 0, "64dbbdc63c130eb3c49946a505211e0f28280eb4a7c52b92eeb0f1a15bf0affa"),
     ("char-points --m 7 --n 3 --p 1009", 0, "34430a79d24cd374ec444280453e5085ba38b552046150f4b404d1b7e1ad728c"),
+    # away from the default (8, 8): long Newton runs, series specialization,
+    # division over Z/p^16, and an indeterminate run (exit 1, empty stdout)
+    ("lift --example rho3 --prec 30 --deg 30", 0, "6e8cf76c8bc3f984f6b993b1046ebbc0c55753b1154b2601ccf89ac587da3dfb"),
+    ("lift --example rho4 --prec 8 --deg 96", 0, "16d0c8df5282fb0f1efbda3d410ac4e6bee92100f4df7f42100f1d3740040b8c"),
+    ("lfunction --example rho4 --prec 46 --deg 46", 0, "d75c4aaab820d3eeacae037792e70b546d925b0540dd53530da3aa21159da3a6"),
+    ("verify-example --id 4.5.3a --prec 16 --deg 16", 0, "ad8548b69530ce3c017ddf2c19ceabd0d20a79c9c8de778309bf85d1f58c5fcf"),
+    ("verify-example --id 4.5.3b --prec 16 --deg 16", 0, "c84c454d60410b7d60e88585cee8c05ff8ef3193fb1bad4326249aaf6e48b820"),
+    ("verify-example --id 4.5.3b --prec 1 --deg 8", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 
