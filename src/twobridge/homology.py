@@ -3,12 +3,13 @@ invariants, Fitting ideals, the L-function normal form, and adjoint
 cohomology dimensions.
 
 Chain conventions for <g1,...,gn | r1,...,r_{n-1}> with a representation
-rho of degree 2:
+rho of degree 2. Both boundary maps are returned as their presentation
+matrices, lists of scalar rows:
 
-  boundary1 is the 2 x 2n block row (rho(g1)-I, ..., rho(gn)-I); it
-  presents H0 (generators = its 2 rows).
+  boundary1 is the 2 x 2n matrix (rho(g1)-I, ..., rho(gn)-I) of 2x2
+  blocks side by side; it presents H0 (generators = its 2 rows).
 
-  boundary2 is the 2n x 2(n-1) stack whose block (i,j) is the transpose
+  boundary2 is the 2n x 2(n-1) matrix whose block (i,j) is the transpose
   of rho(d r_j / d g_i); for n=2 its four rows are the columns a1..a4 of
   (rho(dr/dg1), rho(dr/dg2)), and it presents the cokernel of the second
   boundary map (generators = its 4 rows).
@@ -47,36 +48,7 @@ class DegenerateRepresentation(ArithmeticError):
     """No admissible deleted index for the twisted Alexander invariant."""
 
 
-# --- block matrices ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockMatrix:
-    """A grid of 2x2 blocks over a common ring."""
-
-    blocks: tuple[tuple[Mat2, ...], ...]
-
-    @property
-    def block_rows(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def block_cols(self) -> int:
-        return len(self.blocks[0]) if self.blocks else 0
-
-    def delete_block_row(self, i: int) -> "BlockMatrix":
-        """Drop 1-indexed block row i."""
-        return BlockMatrix(tuple(row for k, row in enumerate(self.blocks, 1) if k != i))
-
-    def scalar_rows(self) -> list[list]:
-        out: list[list] = []
-        for brow in self.blocks:
-            for r in range(2):
-                row: list = []
-                for blk in brow:
-                    row.extend(blk.rows()[r])
-                out.append(row)
-        return out
+# --- boundary maps ---------------------------------------------------------
 
 
 def apply_rep(rep, elt: GroupRingElement) -> Mat2:
@@ -87,23 +59,26 @@ def apply_rep(rep, elt: GroupRingElement) -> Mat2:
     return acc
 
 
-def boundary1(pres: TwoBridgePresentation, rep) -> BlockMatrix:
-    ident = Mat2.identity(rep.one, rep.zero)
-    return BlockMatrix((tuple(rep(gen(i)) - ident for i in (1, 2)),))
+def _minus_identity(rep, w: FreeWord) -> Mat2:
+    """rho(w) - I."""
+    return rep(w) - Mat2.identity(rep.one, rep.zero)
 
 
-def boundary2(pres: TwoBridgePresentation, rep) -> BlockMatrix:
-    return BlockMatrix(tuple((apply_rep(rep, d).transpose(),) for d in pres.fox))
+def boundary1(pres: TwoBridgePresentation, rep) -> list[list]:
+    b1, b2 = (_minus_identity(rep, gen(i)) for i in (1, 2))
+    return [r1 + r2 for r1, r2 in zip(b1.rows(), b2.rows())]
+
+
+def boundary2(pres: TwoBridgePresentation, rep) -> list[list]:
+    return [row for d in pres.fox for row in apply_rep(rep, d).transpose().rows()]
 
 
 def chain_contraction(pres: TwoBridgePresentation, rep) -> Mat2:
     """sum_i rho(dr/dg_i) (rho(g_i) - I), the composite of the two
-    boundary maps: block i of boundary2, transposed back, times block i
-    of boundary1. Zero for every representation satisfying the relation."""
-    d1, d2 = boundary1(pres, rep), boundary2(pres, rep)
+    boundary maps. Zero for every representation satisfying the relation."""
     acc = Mat2.identity(rep.zero, rep.zero)
-    for i in range(2):
-        acc = acc + d2.blocks[i][0].transpose() * d1.blocks[0][i]
+    for i, d in enumerate(pres.fox, 1):
+        acc = acc + apply_rep(rep, d) * _minus_identity(rep, gen(i))
     return acc
 
 
@@ -236,7 +211,7 @@ class TorsionReport:
 
 def det_minus_identity(rep, w: FreeWord) -> PadicInt:
     """det(rho(w) - I)."""
-    return (rep(w) - Mat2.identity(rep.one, rep.zero)).det()
+    return _minus_identity(rep, w).det()
 
 
 def torsion_witness(rep, max_len: int = 3) -> tuple[FreeWord | None, PadicInt | None]:
@@ -347,15 +322,13 @@ class LFunctionResult:
 def l_function(pres: TwoBridgePresentation, rep) -> LFunctionResult:
     """Delta_2 of the cokernel presented by boundary2: the gcd normal
     form p^mu T^lam of its six 2-minors."""
-    rows = boundary2(pres, rep).scalar_rows()
-    res = fitting_delta(rows, d=2)
+    res = fitting_delta(boundary2(pres, rep), d=2)
     return LFunctionResult(minors=res.minors, normal_form=res.normal_form)
 
 
 def delta0_h0(pres: TwoBridgePresentation, rep) -> FittingResult:
     """Delta_0 of H_0, presented by boundary1 (2 generators, 4 relations)."""
-    rows = boundary1(pres, rep).scalar_rows()
-    return fitting_delta(rows, d=0)
+    return fitting_delta(boundary1(pres, rep), d=0)
 
 
 # --- consistency of the vanishing/non-vanishing dichotomy ---------------

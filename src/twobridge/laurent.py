@@ -7,7 +7,7 @@ equal after multiplying by one of those.
 
 from __future__ import annotations
 
-from .padics import Indeterminate, PadicInt, Zp
+from .padics import Indeterminate, PadicInt, Zp, poly_eval, power
 
 
 class LaurentPoly:
@@ -93,14 +93,7 @@ class LaurentPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers only for monomials; invert explicitly")
-        out = LaurentPoly.one(self.ring)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, LaurentPoly.one(self.ring))
 
     @property
     def is_zero(self) -> bool:
@@ -129,9 +122,7 @@ class LaurentPoly:
         if lo < 0 and not t0.is_unit:
             raise ValueError("negative exponents require a unit evaluation point")
         # evaluate t^lo * (polynomial part)
-        acc = self.ring.zero
-        for e in range(self.max_exp(), lo - 1, -1):
-            acc = acc * t0 + self.coefficient(e)
+        acc = poly_eval([self.coefficient(e) for e in range(lo, self.max_exp() + 1)], t0)
         return acc * t0**lo if lo else acc
 
     def __eq__(self, other) -> bool:
@@ -180,28 +171,15 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
         raise ZeroDivisionError("division by the zero Laurent polynomial")
     if num.is_zero:
         return LaurentPoly.zero(num.ring)
-    a, b = num.min_exp(), den.min_exp()
-    lead = den.coefficient(den.max_exp())
-    if not lead.is_unit:
+    if not den.coefficient(den.max_exp()).is_unit:
         raise Indeterminate("divisor leading coefficient is not a unit")
-    lead_inv = lead.invert_unit()
     # shift to genuine polynomials with nonzero constant terms
+    a, b = num.min_exp(), den.min_exp()
     r = {e - a: c for e, c in num.coeffs.items()}
     d = {e - b: c for e, c in den.coeffs.items()}
-    ddeg = max(d)
-    m = num.ring.modulus
-    q: dict[int, int] = {}
-    while r:
-        rdeg = max(r)
-        if rdeg < ddeg:
-            return None
-        factor = (r[rdeg] * lead_inv.r) % m
-        q[rdeg - ddeg] = factor
-        for e, c in d.items():
-            k = e + rdeg - ddeg
-            r[k] = (r.get(k, 0) - factor * c) % m
-            if r[k] == 0:
-                del r[k]
+    q, r = _poly_divmod(r, d, num.ring.modulus)
+    if r:
+        return None
     return LaurentPoly(num.ring, {e + a - b: c for e, c in q.items()})
 
 
@@ -229,18 +207,20 @@ def eq_up_to_unit(f: LaurentPoly, g: LaurentPoly) -> bool:
     return fn * c == gn
 
 
-def _poly_divmod_field(r: dict[int, int], d: dict[int, int], p: int):
+def _poly_divmod(r: dict[int, int], d: dict[int, int], m: int):
+    """Quotient and remainder of r by d over Z/m, on exponent -> residue
+    dicts (zero is {}); the leading coefficient of d must be a unit mod m."""
     ddeg = max(d)
-    dinv = pow(d[ddeg], -1, p)
+    dinv = pow(d[ddeg], -1, m)
     q: dict[int, int] = {}
     r = dict(r)
     while r and max(r) >= ddeg:
         rdeg = max(r)
-        factor = (r[rdeg] * dinv) % p
+        factor = (r[rdeg] * dinv) % m
         q[rdeg - ddeg] = factor
         for e, c in d.items():
             k = e + rdeg - ddeg
-            r[k] = (r.get(k, 0) - factor * c) % p
+            r[k] = (r.get(k, 0) - factor * c) % m
             if r[k] == 0:
                 del r[k]
     return q, r
@@ -249,7 +229,7 @@ def _poly_divmod_field(r: dict[int, int], d: dict[int, int], p: int):
 def _poly_gcd_field(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
     """Monic gcd over F_p of two exponent -> residue dicts (zero is {})."""
     while b:
-        a, b = b, _poly_divmod_field(a, b, p)[1]
+        a, b = b, _poly_divmod(a, b, p)[1]
     if not a:
         return {}
     inv = pow(a[max(a)], -1, p)

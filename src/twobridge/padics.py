@@ -106,6 +106,18 @@ def _newton_cap(modulus_exponent: int) -> int:
     return max(1, modulus_exponent.bit_length()) + 4
 
 
+def power(base, k: int, one):
+    """base^k for k >= 0 by square-and-multiply; one is the ring's 1."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:  # the square after the top bit would go unused
+            base = base * base
+    return out
+
+
 class Zp:
     """Descriptor of Z/p^N for an odd prime p; N=1 is the field F_p."""
 
@@ -354,14 +366,7 @@ class PadicSeries:
     def __pow__(self, k: int):
         if k < 0:
             return self.invert_unit() ** (-k)
-        out = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.ring.one)
 
     @property
     def is_zero(self) -> bool:
@@ -421,10 +426,7 @@ class PadicSeries:
                 "specialization at val(t0) = %d with D = %d is exact only mod p^%d; "
                 "N = %d needs D >= %d" % (v, D, (D + 1) * v, N, -(-N // v) - 1)
             )
-        acc = self.ring.base.zero
-        for c in reversed(self.coeffs):
-            acc = acc * t0 + self.ring.base(c)
-        return acc
+        return poly_eval([self.ring.base(c) for c in self.coeffs], t0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -473,6 +475,22 @@ def _modulus_exponent(x) -> int:
     return x.ring.N + x.ring.D + 1
 
 
+def _newton(seed, step, name: str):
+    """Iterate s -> step(s) from seed until it stops changing.
+
+    Each Newton step doubles the (p, T)-adic precision, so a run still
+    moving after _newton_cap steps never settles; that raises
+    ArithmeticError naming the caller.
+    """
+    s = seed
+    for _ in range(_newton_cap(_modulus_exponent(seed))):
+        nxt = step(s)
+        if nxt == s:
+            return s
+        s = nxt
+    raise ArithmeticError("%s Newton iteration failed to stabilize" % name)
+
+
 def _half(x):
     if isinstance(x, PadicInt):
         return x * x.ring(2).invert_unit()
@@ -498,14 +516,7 @@ def sqrt_positive(a):
     else:
         c0 = sqrt_positive(a.constant_term())
         s = a.ring.constant(c0)
-    cap = _newton_cap(_modulus_exponent(a))
-    for _ in range(cap):
-        nxt = _half(s + a * s.invert_unit())
-        if nxt == s:
-            break
-        s = nxt
-    else:
-        raise ArithmeticError("sqrt Newton iteration failed to stabilize")
+    s = _newton(s, lambda s: _half(s + a * s.invert_unit()), "sqrt")
     if not (s * s == a):
         raise ArithmeticError("sqrt Newton stabilized at a non-root")
     return s
@@ -541,16 +552,7 @@ def hensel_root(coeffs: Sequence, seed):
     dfs = poly_eval(dcoeffs, seed)
     if not dfs.is_unit:
         raise SingularRoot("f'(seed) is not a unit mod the maximal ideal")
-    s = seed
-    cap = _newton_cap(_modulus_exponent(seed))
-    for _ in range(cap):
-        step = poly_eval(coeffs, s) * poly_eval(dcoeffs, s).invert_unit()
-        nxt = s - step
-        if nxt == s:
-            break
-        s = nxt
-    else:
-        raise ArithmeticError("Hensel Newton iteration failed to stabilize")
+    s = _newton(seed, lambda s: s - poly_eval(coeffs, s) * poly_eval(dcoeffs, s).invert_unit(), "Hensel")
     if not poly_eval(coeffs, s).is_zero:
         raise ArithmeticError("Hensel iteration stabilized at a non-root")
     return s

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import _poly_divmod_field, _poly_gcd_field
+from .laurent import _poly_divmod, _poly_gcd_field
 from .matrices import Mat2, word_matrix
-from .padics import Zp, sqrt_mod_prime
+from .padics import Zp, power, sqrt_mod_prime
 from .presentations import TwoBridgePresentation
 from .words import gen
 
@@ -115,14 +115,7 @@ class BivariatePoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not defined here")
-        out = BivariatePoly.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, BivariatePoly.constant(1))
 
     # structure ------------------------------------------------------------
 
@@ -260,7 +253,7 @@ def _symmetrize(phi: BivariatePoly) -> tuple[int, BivariatePoly]:
     while psi.max_first() > 0:
         d = psi.max_first()
         cd = BivariatePoly({(0, j): c for (i, j), c in psi.terms.items() if i == d})
-        out = out + cd * BivariatePoly.first_var(1) ** d
+        out = out + cd.shift_first(d)
         psi = psi - cd * x_in_t**d
     out = out + psi  # remaining terms are t-free
     return shift, out
@@ -320,12 +313,12 @@ def _mulmod(a: dict[int, int], b: dict[int, int], f: dict[int, int], p: int) -> 
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
-    return _poly_divmod_field({e: c % p for e, c in prod.items() if c % p}, f, p)[1]
+    return _poly_divmod({e: c % p for e, c in prod.items() if c % p}, f, p)[1]
 
 
 def _powmod(base: dict[int, int], k: int, f: dict[int, int], p: int) -> dict[int, int]:
     """base^k mod f over F_p by square-and-multiply, for k >= 1."""
-    out = _poly_divmod_field(base, f, p)[1]
+    out = _poly_divmod(base, f, p)[1]
     for bit in bin(k)[3:]:
         out = _mulmod(out, out, f, p)
         if bit == "1":
@@ -358,7 +351,7 @@ def _roots_modp(f: dict[int, int], p: int) -> list[int]:
             w[0] = (w.get(0, 0) - 1) % p
             s = _poly_gcd_field(h, {e: c for e, c in w.items() if c}, p)
             if 0 < max(s) < max(h):
-                todo += [s, _poly_divmod_field(h, s, p)[0]]
+                todo += [s, _poly_divmod(h, s, p)[0]]
                 break
     return sorted(roots)
 

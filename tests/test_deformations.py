@@ -18,7 +18,7 @@ from twobridge.deformations import (
     universality_certificate,
 )
 from twobridge.matrices import Mat2, word_matrix
-from twobridge.padics import Zp, ZpT
+from twobridge.padics import Indeterminate, Zp, ZpT
 from twobridge.riley import relation_holds
 from twobridge.words import FreeWord, gen
 
@@ -190,6 +190,26 @@ def test_specialization(key, x_rat):
             - (x2 * 12 + 7)
         )
     assert val.is_zero
+
+
+@pytest.mark.parametrize("key,x_rat", [("rho3", 5), ("rho4", 6)])
+def test_specialization_is_stable_in_the_degree(key, x_rat):
+    # val(t0) = 1 at these centres: specialization is exact at (N, D)
+    # exactly when D + 1 >= N, and there the extra terms of a longer
+    # series (D + k) must not change a digit
+    exact = set()
+    for N in (2, 4, 8):
+        for D in (1, 3, 8):
+            try:
+                spec = specialize_family(build_family(key, N, D), x_rat)
+            except Indeterminate:
+                continue
+            exact.add((N, D))
+            for k in (1, 4):
+                more = specialize_family(build_family(key, N, D + k), x_rat)
+                assert more.rep.matrices == spec.rep.matrices
+                assert more.params == spec.params
+    assert exact == {(N, D) for N in (2, 4, 8) for D in (1, 3, 8) if D + 1 >= N}
 
 
 def test_specialization_requires_maximal_ideal_point():

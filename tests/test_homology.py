@@ -16,7 +16,6 @@ from twobridge.deformations import Representation, build_family, specialize_fami
 from twobridge.groupring import GroupRingElement
 from twobridge.homology import (
     AlexanderResult,
-    BlockMatrix,
     DegenerateRepresentation,
     FittingResult,
     LFunctionResult,
@@ -59,21 +58,25 @@ TREFOIL_RES = _pair_rep(3, (((0, 2), (1, 2)), ((2, 2), (1, 0))))
 
 
 def test_boundary_shapes():
-    b1 = boundary1(two_bridge(3, 1), TREFOIL_RES)
-    assert (b1.block_rows, b1.block_cols) == (1, 2)
-    rows = b1.scalar_rows()
+    rows = boundary1(two_bridge(3, 1), TREFOIL_RES)
     assert len(rows) == 2 and all(len(r) == 4 for r in rows)
-    b2 = boundary2(two_bridge(3, 1), TREFOIL_RES)
-    assert (b2.block_rows, b2.block_cols) == (2, 1)
-    rows = b2.scalar_rows()
+    rows = boundary2(two_bridge(3, 1), TREFOIL_RES)
     assert len(rows) == 4 and all(len(r) == 2 for r in rows)
 
 
-def test_delete_block_row():
-    b2 = boundary2(two_bridge(3, 1), TREFOIL_RES)
-    kept = b2.delete_block_row(1)
-    assert kept.block_rows == 1
-    assert kept.blocks[0] == b2.blocks[1]
+def test_boundary_blocks():
+    # boundary1 puts rho(g_i) - I side by side; boundary2 stacks the
+    # transposed images of the Fox derivatives, dr/dg1 on top
+    pres, rep = two_bridge(3, 1), TREFOIL_RES
+    ring = rep.ring
+    ident = Mat2.identity(ring.one, ring.zero)
+    b1 = boundary1(pres, rep)
+    for i in (1, 2):
+        block = Mat2(*(b1[r][c] for r in range(2) for c in (2 * i - 2, 2 * i - 1)))
+        assert block == rep(gen(i)) - ident
+    b2 = boundary2(pres, rep)
+    for i, d in enumerate(pres.fox):
+        assert Mat2(*b2[2 * i], *b2[2 * i + 1]) == apply_rep(rep, d).transpose()
 
 
 def test_apply_rep_linearity():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from twobridge.laurent import LaurentPoly, divide_exact, eq_up_to_unit, laurent_gcd
+from twobridge.laurent import LaurentPoly, _poly_divmod, divide_exact, eq_up_to_unit, laurent_gcd
 from twobridge.padics import Indeterminate, Zp
 
 R = Zp(11, 4)
@@ -90,6 +90,28 @@ def test_divide_exact_detects_remainder():
         divide_exact(num, LaurentPoly.zero(R))
     with pytest.raises(Indeterminate):
         divide_exact(num, _poly({0: 1, 1: 11}))  # non-unit lead
+
+
+def test_poly_divmod_reconstructs_the_numerator():
+    # q * d + r = n over Z/11^4 with deg r < deg d, on the fuzz inputs
+    # above shifted to polynomials, plus the trefoil quotient over F_3
+    # (see test_homology) and the remainder case above
+    rng = random.Random(23)
+    cases = [
+        (LaurentPoly(Zp(3, 1), {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}), LaurentPoly(Zp(3, 1), {0: 1, 1: 1, 2: 1})),
+        (_poly({0: 1, 1: 1}), _poly({0: 2, 2: 1})),
+    ]
+    while len(cases) < 200:
+        num, den = _random_poly(rng, R, lo=0, hi=9), _random_poly(rng, R, lo=0, unit_lead=True)
+        cases.append((num, den))
+    for num, den in cases:
+        ring = num.ring
+        q, r = _poly_divmod(num.coeffs, den.coeffs, ring.modulus)
+        assert all(0 < c < ring.modulus for c in list(q.values()) + list(r.values()))
+        assert not r or max(r) < den.max_exp()
+        assert LaurentPoly(ring, q) * den + LaurentPoly(ring, r) == num
+    q, r = _poly_divmod(cases[0][0].coeffs, cases[0][1].coeffs, 3)
+    assert (q, r) == ({0: 1, 2: 1}, {})
 
 
 def test_eq_up_to_unit_basics():

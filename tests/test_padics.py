@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import series_product
 
+from twobridge.laurent import LaurentPoly
 from twobridge.padics import (
     BadSeed,
     DivisorNormalForm,
@@ -18,14 +19,18 @@ from twobridge.padics import (
     SingularRoot,
     Zp,
     ZpT,
+    _newton,
     gcd_normal_form,
     hensel_root,
     is_prime,
     poly_derivative,
     poly_eval,
+    power,
     sqrt_mod_prime,
     sqrt_positive,
 )
+
+from twobridge.riley import BivariatePoly
 
 SMALL_RINGS = [Zp(3, 4), Zp(5, 3), Zp(7, 3), Zp(11, 2)]
 
@@ -326,6 +331,38 @@ def test_hensel_series():
         assert poly_eval(cs, got).is_zero
         dcs = poly_derivative(cs)
         assert poly_eval(dcs, got).is_unit
+
+
+# --- the shared power ladder and Newton driver ----------------------------
+
+
+@pytest.mark.parametrize("k", range(18))
+def test_power_matches_repeated_product(k):
+    S = ZpT(7, 5, 6)
+    L = Zp(7, 5)
+    cases = [
+        (S([3, 1, 4, 1, 5, 9, 2]), S.one),
+        (LaurentPoly(L, {-2: 3, 0: 1, 3: 5}), LaurentPoly.one(L)),
+        (BivariatePoly({(-1, 0): 2, (0, 1): -1, (2, 3): 1}), BivariatePoly.constant(1)),
+    ]
+    for x, one in cases:
+        want = one
+        for _ in range(k):
+            want = want * x
+        assert power(x, k, one) == want
+        assert x**k == want
+
+
+def test_newton_stops_at_the_fixed_point():
+    R = Zp(5, 8)
+    assert _newton(R(0), lambda s: s + 1 if s.r < 3 else s, "test") == R(3)
+
+
+@pytest.mark.parametrize("seed", [Zp(5, 8)(1), ZpT(5, 4, 4).one])
+@pytest.mark.parametrize("name", ["sqrt", "Hensel"])
+def test_newton_raises_when_the_step_never_settles(seed, name):
+    with pytest.raises(ArithmeticError, match="^%s Newton iteration failed to stabilize$" % name):
+        _newton(seed, lambda s: s + 1, name)
 
 
 def test_gcd_normal_form_reference_vectors():
