@@ -10,13 +10,16 @@ fails to reproduce the prescribed mod-p matrices raises BranchMismatch
 instead of switching branch.
 
 The four built-in families rho1..rho4 share one constructor,
-_sl2_family: from x = alpha + T and the off-diagonal entries b, c of g1
-it takes q = sqrt(x^2 - 4 - 4bc) and sets g1 = [[(x+q)/2, b], [c, (x-q)/2]].
-g2 is g1 with its diagonal swapped (rho1, rho2, rho4) or with its
-off-diagonal negated (rho3).  Each build_rhoN states its knot, prime,
-alpha, character point and residual matrices once, and computes only
-its own c: a constant for rho1, from an auxiliary square root u for
-rho2, and from the Hensel root s (rho3) or v (rho4) of an auxiliary cubic.
+_sl2_family. Along a family, y = tr rho(g1 g2) is the root of the Riley
+polynomial Psi(x, y) = 0 (pres.riley.psi) at x = alpha + T that reduces
+to the character point's y0: Hensel-lifted over Z_p at x = alpha, then
+in T from that seed. g1 = [[(x+q)/2, b], [c, (x-q)/2]] with b = +-1 and
+q = sqrt(x^2 - 4 - 4bc); g2 is g1 with its diagonal swapped (rho1, rho2,
+rho4), so that y = 2 + 4bc, or with its off-diagonal negated (rho3), so
+that y = x^2 - 2 - 4bc, and either fixes c. Each build_rhoN states its
+knot, prime, alpha, b, character point, residual matrices and
+orientation, and reads its named parameters off c: u = x^2 - 3 + 8c
+(rho2), s = 1 - c (rho3) and v = c + 1 (rho4).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from .matrices import Mat2, word_matrix
-from .padics import PadicInt, PadicSeries, Zp, ZpT, hensel_root, sqrt_positive
+from .padics import PadicInt, PadicSeries, Zp, ZpT, hensel_root, poly_eval, sqrt_positive
 from .presentations import TwoBridgePresentation, two_bridge
 from .riley import relation_holds
 from .words import FreeWord, gen, reduced_words
@@ -125,14 +128,24 @@ def _verify_family(fam: DeformationFamily) -> DeformationFamily:
     return fam
 
 
-def _sl2_family(key, pres, x, b, c, char_point, expected_residual, params, negate_off_diagonal=False):
-    """The family over x.ring with trace series x = alpha + T, as in the module
-    docstring; q joins params."""
+def _sl2_family(key, pres, x, b, char_point, expected_residual, params, negate_off_diagonal=False):
+    """The family over x.ring with trace series x = alpha + T and g1's
+    upper-right entry b = +-1, as in the module docstring; params(x, c)
+    names the builder's own parameters, and q joins them."""
     ring = x.ring
+    psi = pres.riley.psi
+    columns = [[psi.terms.get((i, j), 0) for i in range(psi.max_first() + 1)]
+               for j in range(psi.degree_second() + 1)]
+
+    def lift(xv, seed):  # the root of Psi(xv, y) that is seed mod the maximal ideal
+        return hensel_root([xv.ring.zero + poly_eval(col, xv) for col in columns], seed)
+
+    y = lift(x, ring.constant(lift(x.constant_term(), ring.base(char_point[1]))))
+    c = (x * x - 2 - y if negate_off_diagonal else y - 2) * ring.base(4 * b).invert_unit()
+    q = sqrt_positive(x * x - 4 - c * (4 * b))
     half = ring.base(2).invert_unit()
-    q = sqrt_positive(x * x - 4 - b * c * 4)
-    g1 = Mat2((x + q) * half, b, c, (x - q) * half)
-    g2 = Mat2(g1.a, -b, -c, g1.d) if negate_off_diagonal else Mat2(g1.d, b, c, g1.a)
+    g1 = Mat2((x + q) * half, ring.constant(b), c, (x - q) * half)
+    g2 = Mat2(g1.a, -g1.b, -c, g1.d) if negate_off_diagonal else Mat2(g1.d, g1.b, c, g1.a)
     fam = DeformationFamily(
         key=key,
         pres=pres,
@@ -142,55 +155,25 @@ def _sl2_family(key, pres, x, b, c, char_point, expected_residual, params, negat
         rep=Representation(ring, {1: g1, 2: g2}),
         char_point=char_point,
         expected_residual=expected_residual,
-        params={**params, "q": q},
+        params={**params(x, c), "q": q},
     )
     return _verify_family(fam)
 
 
 def build_rho1(N: int = 8, D: int = 8) -> DeformationFamily:
     ring = ZpT(3, N, D)
-    c = ring.constant(ring.base(4).invert_unit())
     return _sl2_family(
-        "rho1", two_bridge(3, 1), ring([2, 1]), ring.constant(-1), c,
-        (2, 1), (((0, 2), (1, 2)), ((2, 2), (1, 0))), {},
+        "rho1", two_bridge(3, 1), ring([2, 1]), -1,
+        (2, 1), (((0, 2), (1, 2)), ((2, 2), (1, 0))), lambda x, c: {},
     )
 
 
 def build_rho2(N: int = 8, D: int = 8) -> DeformationFamily:
     ring = ZpT(7, N, D)
-    x = ring([-2, 1])
-    x2 = x * x
-    u = sqrt_positive((x2 - 1) * (x2 - 5))
-    c = -(x2 - 3 - u) * ring.base(8).invert_unit()
     return _sl2_family(
-        "rho2", two_bridge(5, 3), x, ring.constant(-1), c,
-        (5, 5), (((0, 6), (1, 5)), ((5, 6), (1, 0))), {"u": u},
+        "rho2", two_bridge(5, 3), ring([-2, 1]), -1,
+        (5, 5), (((0, 6), (1, 5)), ((5, 6), (1, 0))), lambda x, c: {"u": x * x - 3 + c * 8},
     )
-
-
-def _cubic_rho3(ring: ZpT, x: PadicSeries) -> list[PadicSeries]:
-    """Ascending coefficients of the auxiliary cubic for rho3:
-    64 s^3 - 16(2x^2+5) s^2 + 4(x^4+9x^2+6) s - (4x^4+6x^2+1)."""
-    x2 = x * x
-    x4 = x2 * x2
-    return [
-        -(x4 * 4 + x2 * 6 + 1),
-        (x4 + x2 * 9 + 6) * 4,
-        -(x2 * 2 + 5) * 16,
-        ring.constant(64),
-    ]
-
-
-def _cubic_rho4(ring: ZpT, x: PadicSeries) -> list[PadicSeries]:
-    """Ascending coefficients of the auxiliary cubic for rho4:
-    64 v^3 - 16(x^2+7) v^2 + 28(x^2+2) v - (12x^2+7)."""
-    x2 = x * x
-    return [
-        -(x2 * 12 + 7),
-        (x2 + 2) * 28,
-        -(x2 + 7) * 16,
-        ring.constant(64),
-    ]
 
 
 def build_rho3(N: int = 8, D: int = 8) -> DeformationFamily:
@@ -199,11 +182,10 @@ def build_rho3(N: int = 8, D: int = 8) -> DeformationFamily:
     sqrt5 = sqrt_positive(base(5))
     alpha = (base(3) - sqrt5) * base(2).invert_unit()
     xi = (base(4) - sqrt5) * base(4).invert_unit()
-    x = ring([alpha.r, 1])
-    s = hensel_root(_cubic_rho3(ring, x), ring.constant(xi))
     return _sl2_family(
-        "rho3", two_bridge(7, 3), x, ring.constant(-1), -s + 1,
-        (5, 5), (((5, 10), (1, 0)), ((5, 1), (10, 0))), {"s": s, "xi": xi, "sqrt5": sqrt5},
+        "rho3", two_bridge(7, 3), ring([alpha.r, 1]), -1,
+        (5, 5), (((5, 10), (1, 0)), ((5, 1), (10, 0))),
+        lambda x, c: {"s": 1 - c, "xi": xi, "sqrt5": sqrt5},
         negate_off_diagonal=True,
     )
 
@@ -214,11 +196,10 @@ def build_rho4(N: int = 8, D: int = 8) -> DeformationFamily:
     sqrt5 = sqrt_positive(base(5))
     alpha = (base(3) + sqrt5) * base(2).invert_unit()
     zeta = (base(7) + sqrt5) * base(8).invert_unit()
-    x = ring([alpha.r, 1])
-    v = hensel_root(_cubic_rho4(ring, x), ring.constant(zeta))
     return _sl2_family(
-        "rho4", two_bridge(7, 3), x, ring.constant(1), v - 1,
-        (6, 6), (((14, 1), (1, 11)), ((11, 1), (1, 14))), {"v": v, "zeta": zeta, "sqrt5": sqrt5},
+        "rho4", two_bridge(7, 3), ring([alpha.r, 1]), 1,
+        (6, 6), (((14, 1), (1, 11)), ((11, 1), (1, 14))),
+        lambda x, c: {"v": c + 1, "zeta": zeta, "sqrt5": sqrt5},
     )
 
 

@@ -110,24 +110,15 @@ class GroupRingElement:
 
 
 def fox_derivative(word: FreeWord, i: int) -> GroupRingElement:
-    """Fox derivative d(word)/d(g_i), by a single left-to-right pass.
+    """Fox derivative d(word)/d(g_i), read off the prefixes of the word.
 
-    A positive letter g_i at prefix P contributes +P; a negative letter
-    g_i^-1 at prefix P contributes -(P g_i^-1).
+    A positive letter g_i after the prefix P contributes +P; a negative
+    letter g_i^-1 contributes -(P g_i^-1), which is the next prefix.
+    Prefixes of a reduced word are reduced and pairwise distinct.
     """
     if i < 1:
         raise ValueError("generator index must be >= 1")
-    out: dict[FreeWord, int] = {}
-    prefix = FreeWord()
-    for g, s in word:
-        if s == 1:
-            if g == i:
-                out[prefix] = out.get(prefix, 0) + 1
-            prefix = prefix * gen(g)
-        else:
-            prefix = prefix * gen(g, -1)
-            if g == i:
-                out[prefix] = out.get(prefix, 0) - 1
+    out = {word.prefix(k if s == 1 else k + 1): s for k, (g, s) in enumerate(word) if g == i}
     return GroupRingElement(out)
 
 

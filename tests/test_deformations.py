@@ -73,12 +73,18 @@ def test_quadratic_constants():
     assert 1 <= rho4.params["sqrt5"].residue() <= 9
 
 
-def test_rho1_rho2_square_roots():
-    fam = FAMILIES["rho1"]
+# from the residue field up to long series and high p-adic precision;
+# the paper's equations are the oracle for the lift along the Riley curve
+PRECISIONS = [(1, 0), (8, 8), (30, 30), (8, 96), (192, 12)]
+
+
+@pytest.mark.parametrize("N,D", PRECISIONS)
+def test_rho1_rho2_square_roots(N, D):
+    fam = build_family("rho1", N, D)
     x = fam.trace_series
     q = fam.params["q"]
     assert q * q == x * x - 3
-    fam = FAMILIES["rho2"]
+    fam = build_family("rho2", N, D)
     x = fam.trace_series
     x2 = x * x
     u, q = fam.params["u"], fam.params["q"]
@@ -87,11 +93,12 @@ def test_rho1_rho2_square_roots():
     assert q * q == (x2 - 5 + u) * half
 
 
+@pytest.mark.parametrize("N,D", PRECISIONS)
 @pytest.mark.parametrize(
     "key,param", [("rho3", "s"), ("rho4", "v")]
 )
-def test_auxiliary_cubic_roots(key, param):
-    fam = FAMILIES[key]
+def test_auxiliary_cubic_roots(key, param, N, D):
+    fam = build_family(key, N, D)
     x = fam.trace_series
     x2 = x * x
     s = fam.params[param]
@@ -142,6 +149,33 @@ def test_relation_words_evaluated_once(monkeypatch):
     assert universality_certificate(fam).relation_ok
     # the point check and the Riley polynomial multiply; nothing over the family's ring
     assert rings and fam.ring not in rings
+
+
+@pytest.mark.parametrize("key", ["rho1", "rho3"])
+def test_certificate_flags_each_tampering(key):
+    fam = FAMILIES[key]
+    g1, g2 = fam.rep.matrices[1], fam.rep.matrices[2]
+    # conjugating g2 alone by [[1, T^D], [0, 1]] keeps det, traces and residue
+    tD = fam.ring([0] * fam.ring.D + [1])
+    conj = Mat2(fam.ring.one, tD, fam.ring.zero, fam.ring.one)
+    conj_inv = Mat2(fam.ring.one, -tD, fam.ring.zero, fam.ring.one)
+    x0, y0 = fam.char_point
+    tampered = {
+        "relation_ok": dataclasses.replace(
+            fam, rep=Representation(fam.ring, {1: g1, 2: conj * g2 * conj_inv})
+        ),
+        "residual_ok": dataclasses.replace(
+            fam, expected_residual=(((1, 0), (0, 1)), ((1, 0), (0, 1)))
+        ),
+        "point_ok": dataclasses.replace(fam, char_point=(x0, y0 + 1)),
+    }
+    flags = ("trace_ok", "relation_ok", "residual_ok", "point_ok", "regular")
+    for broken, bad in tampered.items():
+        cert = universality_certificate(bad)
+        js = cert.to_json()
+        failed = {f for f in flags if not js[f]}
+        assert failed == ({"point_ok", "regular"} if broken == "point_ok" else {broken})
+        assert not cert.ok and js["ok"] is False
 
 
 def test_branch_mismatch_detected():
