@@ -43,8 +43,10 @@ class Representation:
     """Matrix assignment for the two generators over Zp(p, N) or
     ZpT(p, N, D), each of determinant exactly 1 (inverse letters are
     adjugates), with a per-word cache: a letter evaluates through
-    word_matrix, a longer word w as rep(w minus its last letter) times
-    rep(last letter), from its longest cached prefix on."""
+    word_matrix; a longer word w is rep(first letter) times rep(w minus
+    its first letter) when that suffix is cached, and otherwise
+    rep(w minus its last letter) times rep(last letter), from its
+    longest cached prefix on."""
 
     __slots__ = ("ring", "matrices", "_cache")
 
@@ -69,6 +71,8 @@ class Representation:
         m = self._cache.get(word)
         if m is None and len(word) < 2:
             m = self._cache[word] = word_matrix(self.matrices, word, self.one, self.zero)
+        elif m is None and (tail := self._cache.get(word.suffix(len(word) - 1))) is not None:
+            m = self._cache[word] = self(word.prefix(1)) * tail
         elif m is None:
             k = len(word) - 1  # the longest cached prefix, else the first letter
             while k > 1 and word.prefix(k) not in self._cache:
@@ -128,17 +132,32 @@ def _verify_family(fam: DeformationFamily) -> DeformationFamily:
     return fam
 
 
+def _psi_at_x(pres: TwoBridgePresentation, x) -> list:
+    """The coefficients, ascending in y, of Psi(x, y) over x's ring: each
+    of Psi's y-coefficient columns evaluated at x."""
+    psi = pres.riley.psi
+    columns = [[psi.terms.get((i, j), 0) for i in range(psi.max_first() + 1)]
+               for j in range(psi.degree_second() + 1)]
+    return [x.ring.zero + poly_eval(col, x) for col in columns]
+
+
+def character_curve_value(fam: DeformationFamily) -> PadicSeries:
+    """Psi(x, y) in the family's ring, with x = tr rho(g1) and
+    y = tr rho(g1 g2): exactly zero when the whole family, not only its
+    residual point, lies on the character curve Psi = 0."""
+    x = fam.rep(gen(1)).trace()
+    y = fam.rep(gen(1) * gen(2)).trace()
+    return poly_eval(_psi_at_x(fam.pres, x), y)
+
+
 def _sl2_family(key, pres, x, b, char_point, expected_residual, params, negate_off_diagonal=False):
     """The family over x.ring with trace series x = alpha + T and g1's
     upper-right entry b = +-1, as in the module docstring; params(x, c)
     names the builder's own parameters, and q joins them."""
     ring = x.ring
-    psi = pres.riley.psi
-    columns = [[psi.terms.get((i, j), 0) for i in range(psi.max_first() + 1)]
-               for j in range(psi.degree_second() + 1)]
 
     def lift(xv, seed):  # the root of Psi(xv, y) that is seed mod the maximal ideal
-        return hensel_root([xv.ring.zero + poly_eval(col, xv) for col in columns], seed)
+        return hensel_root(_psi_at_x(pres, xv), seed)
 
     y = lift(x, ring.constant(lift(x.constant_term(), ring.base(char_point[1]))))
     c = (x * x - 2 - y if negate_off_diagonal else y - 2) * ring.base(4 * b).invert_unit()

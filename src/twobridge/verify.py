@@ -1,22 +1,30 @@
 """End-to-end check of one worked example against its reference data.
 
 run_example computes every pipeline stage at one precision and returns
-a row-per-check report; verify_example repeats the run at escalated
-precision and additionally requires the L normal form to be stable.
+a row-per-check report. Its character-curve row checks that the family
+lies on the Riley curve at full precision: Psi(tr rho(g1), tr rho(g1 g2))
+is exactly zero in Z/p^N[[T]]/T^(D+1). verify_example repeats the run at
+escalated precision and additionally requires the L normal form to be
+stable; the stages that read only the residual representation
+(ResidualStages) are computed once and shared by both runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .deformations import (
+    DeformationFamily,
+    Representation,
     build_family,
+    character_curve_value,
     specialize_family,
-    trace_axioms,
     universality_certificate,
 )
 from .homology import (
+    CohomologyDims,
     TorsionReport,
+    TwistedAlexander,
     VanishingReport,
     ad_cohomology,
     chain_contraction,
@@ -27,10 +35,10 @@ from .homology import (
     twisted_alexander,
 )
 from .laurent import LaurentPoly
-from .padics import DivisorNormalForm, Indeterminate
+from .padics import DivisorNormalForm, Indeterminate, PadicInt
 from .registry import RILEY_PSI_TERMS, get_example
 from .riley import char_points
-from .words import gen
+from .words import FreeWord, gen
 
 
 @dataclass(frozen=True)
@@ -44,12 +52,41 @@ class CheckRow:
 
 
 @dataclass(frozen=True)
+class ResidualStages:
+    """The stages of run_example that read only the residual
+    representation, so do not depend on the precision (N, D)."""
+
+    rep: Representation
+    alexander: TwistedAlexander
+    delta_at_one: PadicInt
+    irreducible_points: frozenset[tuple[int, int]]
+    cohomology: CohomologyDims
+    torsion_witness: tuple[FreeWord | None, PadicInt | None]
+
+
+def residual_stages(fam: DeformationFamily) -> ResidualStages:
+    res_rep = fam.rep.residual()
+    ta = twisted_alexander(fam.pres, res_rep)
+    return ResidualStages(
+        rep=res_rep,
+        alexander=ta,
+        delta_at_one=ta.value_at_one(),
+        irreducible_points=frozenset(
+            (pt.x, pt.y) for pt in char_points(fam.pres, fam.p) if pt.absolutely_irreducible
+        ),
+        cohomology=ad_cohomology(fam.pres, res_rep),
+        torsion_witness=torsion_witness(res_rep),
+    )
+
+
+@dataclass(frozen=True)
 class RunReport:
     example_id: str
     N: int
     D: int
     rows: tuple[CheckRow, ...]
     l_form: DivisorNormalForm | None
+    residual: ResidualStages | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -66,7 +103,11 @@ class RunReport:
         }
 
 
-def run_example(example_id: str, N: int = 8, D: int = 8) -> RunReport:
+def run_example(
+    example_id: str, N: int = 8, D: int = 8, residual: ResidualStages | None = None
+) -> RunReport:
+    """One run at (N, D); residual, when given, is the example's
+    ResidualStages from a run at another precision."""
     ex = get_example(example_id)
     rows: list[CheckRow] = []
 
@@ -92,38 +133,41 @@ def run_example(example_id: str, N: int = 8, D: int = 8) -> RunReport:
         % (cert.trace_ok, cert.relation_ok, cert.residual_ok, cert.point_ok, cert.psi_derivative),
     )
 
-    axioms = trace_axioms(fam.rep, max_len=3, budget=40)
-    row("trace-axioms", axioms.ok, "checks=%s" % axioms.checks)
+    psi_xy = character_curve_value(fam)
+    row(
+        "character-curve",
+        psi_xy.is_zero,
+        "Psi(tr rho(g1), tr rho(g1 g2)) %s 0 in Z/%d^%d[[T]]/T^%d"
+        % ("=" if psi_xy.is_zero else "!=", p, N, D + 1),
+    )
 
     contraction = chain_contraction(pres, fam.rep)
     contraction_zero = all(e.is_zero for r in contraction.rows() for e in r)
     row("chain-contraction", contraction_zero, "sum rho(dr/dg_i)(rho(g_i)-1) = 0")
 
-    res_rep = fam.rep.residual()
+    res = residual or residual_stages(fam)
+    res_rep = res.rep
     det_g2 = det_minus_identity(res_rep, gen(2)).residue()
     row("residual-det-g2", det_g2 == ex.residual_det_g2 % p, "det(rho(g2)-I) = %d mod %d" % (det_g2, p))
 
-    ta = twisted_alexander(pres, res_rep)
-    prim = ta.primary()
+    prim = res.alexander.primary()
     delta_match = prim.matches(LaurentPoly(res_rep.ring, dict(ex.residual_delta_coeffs)))
     row("alexander-residual", delta_match, "Delta = %s (up to unit)" % (prim.quotient or prim.numerator))
 
-    delta1 = ta.value_at_one()
+    delta1 = res.delta_at_one
     row(
         "alexander-residual-at-1",
         delta1.residue() == ex.residual_delta_at_one_residue % p,
         "Delta(1) = %d mod %d" % (delta1.residue(), p),
     )
 
-    pts = char_points(pres, p)
-    flagged = {(pt.x, pt.y) for pt in pts if pt.absolutely_irreducible}
     row(
         "char-point",
-        fam.char_point in flagged,
+        fam.char_point in res.irreducible_points,
         "(%d, %d) absolutely irreducible over F_%d" % (*fam.char_point, p),
     )
 
-    coh = ad_cohomology(pres, res_rep)
+    coh = res.cohomology
     row(
         "adjoint-cohomology",
         coh.h0 == 0 and coh.h1 == coh.h2 and coh.h2 >= 1 and coh.euler == 0,
@@ -149,7 +193,7 @@ def run_example(example_id: str, N: int = 8, D: int = 8) -> RunReport:
             "six 2-minors match closed forms coefficientwise",
         )
 
-    res_tors = tors = TorsionReport.from_results(torsion_witness(res_rep), delta1)
+    res_tors = tors = TorsionReport.from_results(res.torsion_witness, delta1)
     if ex.x_rat is not None:
         spec = specialize_family(fam, ex.x_rat)
         sdet = det_minus_identity(spec.rep, gen(2))
@@ -181,7 +225,7 @@ def run_example(example_id: str, N: int = 8, D: int = 8) -> RunReport:
         % (link.delta0_unit, link.l_form.mu, link.l_form.lam, link.residual_delta_at_one),
     )
 
-    return RunReport(example_id=example_id, N=N, D=D, rows=tuple(rows), l_form=nf)
+    return RunReport(example_id=example_id, N=N, D=D, rows=tuple(rows), l_form=nf, residual=res)
 
 
 # the escalated run adds this to both N and D
@@ -209,7 +253,9 @@ class VerifyReport:
 
 def verify_example(example_id: str, N: int = 8, D: int = 8) -> VerifyReport:
     base = run_example(example_id, N=N, D=D)
-    escalated = run_example(example_id, N=N + ESCALATION_STEP, D=D + ESCALATION_STEP)
+    escalated = run_example(
+        example_id, N=N + ESCALATION_STEP, D=D + ESCALATION_STEP, residual=base.residual
+    )
     stable = (
         base.l_form is not None
         and escalated.l_form is not None

@@ -57,6 +57,12 @@ class FreeWord:
         object.__setattr__(w, "letters", self.letters[:k])
         return w
 
+    def suffix(self, k: int) -> "FreeWord":
+        """The last k letters, not reduced again: a suffix of a reduced word is reduced."""
+        w = object.__new__(FreeWord)
+        object.__setattr__(w, "letters", self.letters[len(self.letters) - k :])
+        return w
+
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((g, -s) for g, s in reversed(self.letters)))
 

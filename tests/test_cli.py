@@ -98,10 +98,10 @@ GOLDEN_JSON = [
     ("cohomology --example rho2", 0, "75d9a72e78bc890e4f1fca1b4ab28851d0f6cc7718ec7410598e775cfdd3f95b"),
     ("cohomology --example rho3", 0, "3e8e990575e2f82c9b460f25784c98a47362acaf2f76b0a82e10c89f5903c1d3"),
     ("cohomology --example rho4", 0, "e87d8568b6222eac72a6dae44c5a0daaab2ede68ca5f877933a9944537f19d09"),
-    ("verify-example --id 4.5.1", 0, "1a85054a2a3aae9e16e2e3682646819fee9308ff11ba59a76f77cb703b6cff5b"),
-    ("verify-example --id 4.5.2", 0, "85280a7ed243be051a0b6c8600be44a197c94108cb0d2fc70ccaf5d459dc2986"),
-    ("verify-example --id 4.5.3a", 0, "9b94277c63b47204a4bcc935c836f4694f5ed15196e61405515620ebf263f0fc"),
-    ("verify-example --id 4.5.3b", 0, "9432d9d6b8efb3f9443c6150896d887b8f750647e15b613ad88c3d0a0ac657d0"),
+    ("verify-example --id 4.5.1", 0, "46d7fb588b668e79e31d82088014505c799353bf49ebc0b0550ba11fbc086f81"),
+    ("verify-example --id 4.5.2", 0, "a3f160a8b6333e793364295144cb0d1519b841a123e217e686a1ae3c1c418da4"),
+    ("verify-example --id 4.5.3a", 0, "a0d210e8d325a7ee84521663ecfd41785fecf96539273ff66b76d06b46d34f88"),
+    ("verify-example --id 4.5.3b", 0, "a86a11c4f97e95ecf8d95d2e740fb7a8a38bf54a77d09c5dd8a5f8b041dd85cb"),
     ("riley --m 31 --n -9", 0, "cdeb2e7512d09cd9a6c00df81a319dbe110a3b274ce20bbc9d075e84955e7533"),
     ("riley --m 47 --n -15", 0, "3d73d261ae6c2938970ca4bae24b765d1b5dd71be5b7a4521f34e5a9225e99f2"),
     ("riley --m 63 --n -19", 0, "9e797d090aef452d6eec72690e064b1e1d15581bd481d4a275e5ecafb63cd741"),
@@ -115,8 +115,8 @@ GOLDEN_JSON = [
     ("lift --example rho3 --prec 30 --deg 30", 0, "6e8cf76c8bc3f984f6b993b1046ebbc0c55753b1154b2601ccf89ac587da3dfb"),
     ("lift --example rho4 --prec 8 --deg 96", 0, "16d0c8df5282fb0f1efbda3d410ac4e6bee92100f4df7f42100f1d3740040b8c"),
     ("lfunction --example rho4 --prec 46 --deg 46", 0, "d75c4aaab820d3eeacae037792e70b546d925b0540dd53530da3aa21159da3a6"),
-    ("verify-example --id 4.5.3a --prec 16 --deg 16", 0, "ad8548b69530ce3c017ddf2c19ceabd0d20a79c9c8de778309bf85d1f58c5fcf"),
-    ("verify-example --id 4.5.3b --prec 16 --deg 16", 0, "c84c454d60410b7d60e88585cee8c05ff8ef3193fb1bad4326249aaf6e48b820"),
+    ("verify-example --id 4.5.3a --prec 16 --deg 16", 0, "e790186040b253272402d253feaa53385a47749fec05d62669a564f52032ed58"),
+    ("verify-example --id 4.5.3b --prec 16 --deg 16", 0, "103d5ac0eb510655afc24b16f4055455fdb909fe06eccfaf78561e07ddbcf32e"),
     ("verify-example --id 4.5.3b --prec 1 --deg 8", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 

@@ -11,6 +11,7 @@ from twobridge.deformations import (
     Representation,
     _verify_family,
     build_family,
+    character_curve_value,
     random_sl2,
     reduced_words,
     specialize_family,
@@ -149,6 +150,18 @@ def test_relation_words_evaluated_once(monkeypatch):
     assert universality_certificate(fam).relation_ok
     # the point check and the Riley polynomial multiply; nothing over the family's ring
     assert rings and fam.ring not in rings
+    # on a fresh representation, g2 w is rho(g2) times the w that the
+    # prefixes of w g1 cached: one product, not |w| (6, 12, 16 and 16
+    # products in all before that lookup)
+    for key, products in (("rho1", 5), ("rho2", 9), ("rho3", 11), ("rho4", 11)):
+        fam = FAMILIES[key]
+        rep = Representation(fam.ring, fam.rep.matrices)
+        rings.clear()
+        assert relation_holds(fam.pres, rep)
+        assert len(rings) == products
+        rings.clear()
+        assert relation_holds(fam.pres, rep)
+        assert rings == []
 
 
 @pytest.mark.parametrize("key", ["rho1", "rho3"])
@@ -176,6 +189,49 @@ def test_certificate_flags_each_tampering(key):
         failed = {f for f in flags if not js[f]}
         assert failed == ({"point_ok", "regular"} if broken == "point_ok" else {broken})
         assert not cert.ok and js["ok"] is False
+
+
+def _conjugate_g2_alone(fam):
+    """fam with g2 alone conjugated by [[1, T^D], [0, 1]]."""
+    ring = fam.ring
+    tD = ring([0] * ring.D + [1])
+    conj = Mat2(ring.one, tD, ring.zero, ring.one)
+    conj_inv = Mat2(ring.one, -tD, ring.zero, ring.one)
+    g1, g2 = fam.rep.matrices[1], fam.rep.matrices[2]
+    return dataclasses.replace(fam, rep=Representation(ring, {1: g1, 2: conj * g2 * conj_inv}))
+
+
+@pytest.mark.parametrize("N,D", [(8, 8), (12, 12)])
+@pytest.mark.parametrize("key", KEYS)
+def test_character_curve_rejects_g2_conjugated_alone(key, N, D):
+    # the tampering keeps both determinants and both generator traces but
+    # moves y = tr rho(g1 g2) at T^D, off the character curve; the trace
+    # identities hold for every det-1 pair, so trace_axioms still passes it
+    fam = build_family(key, N, D)
+    bad = _conjugate_g2_alone(fam)
+    for i in (1, 2):
+        m = bad.rep.matrices[i]
+        assert m.det() == fam.ring.one and m.trace() == fam.trace_series
+    y = fam.rep(gen(1) * gen(2)).trace()
+    assert (bad.rep(gen(1) * gen(2)).trace() - y).t_order() == D
+    assert character_curve_value(fam).is_zero
+    value = character_curve_value(bad)
+    assert not value.is_zero and value.t_order() == D
+    assert trace_axioms(bad.rep, max_len=3, budget=40).ok
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_character_curve_at_residue_field_agrees_with_certificate(key):
+    fam = build_family(key, 1, 0)
+    assert character_curve_value(fam).is_zero == (universality_certificate(fam).psi_value == 0)
+
+
+@pytest.mark.parametrize("N,D", [(60, 60), (8, 96), (192, 12)])
+@pytest.mark.parametrize("key", KEYS)
+def test_character_curve_value_is_zero_at_high_precision(key, N, D):
+    value = character_curve_value(build_family(key, N, D))
+    assert value.ring == ZpT(FAMILIES[key].p, N, D)
+    assert value.is_zero
 
 
 def test_branch_mismatch_detected():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from twobridge import groupring, homology, riley
+from twobridge import groupring, homology, riley, verify
 from twobridge.padics import Indeterminate
 from twobridge.registry import EXAMPLE_IDS, FAMILY_TO_ID, RILEY_PSI_TERMS, get_example
 from twobridge.deformations import build_family, specialize_family
@@ -15,7 +15,7 @@ from twobridge.verify import run_example, verify_example
 BASE_ROW_NAMES = (
     "riley",
     "certificate",
-    "trace-axioms",
+    "character-curve",
     "chain-contraction",
     "residual-det-g2",
     "alexander-residual",
@@ -143,3 +143,32 @@ def test_specialized_zero_at_precision_is_indeterminate_but_mismatch_fails(monke
     report = run_example("4.5.3a", N=2, D=2)
     failed = {r.name for r in report.rows if not r.passed}
     assert "specialized-alexander-at-1" in failed
+
+
+@pytest.mark.parametrize("N", [16, 32])
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_verify_example_at_roadmap_precisions(example_id, N):
+    report = verify_example(example_id, N=N, D=N)
+    assert report.ok and report.stable
+
+
+def test_verify_example_computes_residual_stages_once(monkeypatch):
+    # the residual representation is the same at both precisions, so the
+    # escalated run reuses the base run's residual stages
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("char_points", "twisted_alexander", "ad_cohomology", "torsion_witness"):
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    report = verify_example("4.5.3a")
+    assert report.ok
+    # specialization depends on the precision: one specialized Alexander
+    # polynomial and torsion witness per run
+    assert counts == {"char_points": 1, "twisted_alexander": 3, "ad_cohomology": 1, "torsion_witness": 3}
+    assert report.escalated.residual is report.base.residual

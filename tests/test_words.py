@@ -106,3 +106,11 @@ def test_abelianize_additive(u, v):
     ab_v = v.abelianize(3)
     ab_uv = (u * v).abelianize(3)
     assert ab_uv == tuple(a + b for a, b in zip(ab_u, ab_v))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(words())
+def test_prefix_and_suffix_split_the_word(w):
+    for k in range(len(w) + 1):
+        assert w.prefix(k) * w.suffix(len(w) - k) == w
+        assert w.suffix(k).letters == w.letters[len(w) - k :]
