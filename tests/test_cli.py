@@ -105,6 +105,8 @@ GOLDEN_JSON = [
     ("riley --m 31 --n -9", 0, "cdeb2e7512d09cd9a6c00df81a319dbe110a3b274ce20bbc9d075e84955e7533"),
     ("riley --m 47 --n -15", 0, "3d73d261ae6c2938970ca4bae24b765d1b5dd71be5b7a4521f34e5a9225e99f2"),
     ("riley --m 63 --n -19", 0, "9e797d090aef452d6eec72690e064b1e1d15581bd481d4a275e5ecafb63cd741"),
+    ("riley --m 101 --n -39", 0, "55d6eef25b0c9af71a4d60c108d9c6f4a9c04afd58263ac1f207015ffa2d9806"),
+    ("riley --m 151 --n -57", 0, "43d4865cc940af596efdb49cf78e5caa8908e575bf7bb6c20a1cb225d84bc8b4"),
     ("char-points --m 5 --n 3 --p 157", 0, "550564152524f72cc9a6ee28fed6d8acfc8addd756c490ecc0ffff082d6b7ca1"),
     ("char-points --m 7 --n 3 --p 211", 0, "c64d15273bede820088141c5ab3e8f0472d27b080f36281187fac0963b37156a"),
     ("char-points --m 9 --n 5 --p 241", 0, "7b14a1e475cf543eeea3c9cee441f9e80e56132ca883b072fed12f1c7a36eb1f"),
