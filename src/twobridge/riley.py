@@ -2,11 +2,13 @@
 
 The parabolic-free two-variable setup: g1 maps to C(t) = [[t,1],[0,1/t]]
 and g2 to D(t,u) = [[t,0],[u,1/t]]. With W the epsilon-word in C and D,
-phi(t,u) := W_11 + (1/t - t) W_12 vanishes exactly on the non-abelian
-part of the character scheme. Some power t^l makes t^l * phi symmetric
-under t <-> 1/t, hence a polynomial Phi(x,u) in x = t + 1/t; replacing
-u by y - x^2 + 2 (with y the trace of g1 g2) gives the plane model
-Psi(x,y), normalized monic in its y-leading coefficient.
+built one letter at a time on its rows (C and D are sparse), phi(t,u) :=
+W_11 + (1/t - t) W_12 vanishes exactly on the non-abelian part of the
+character scheme. With l = -(lowest + highest t-exponent)/2, t^l * phi
+is symmetric under t <-> 1/t, hence a polynomial Phi(x,u) in x = t + 1/t
+by t^k + t^-k = V_k(x), where V_0 = 2, V_1 = x, V_k = x V_(k-1) - V_(k-2).
+Replacing u by y - x^2 + 2 (with y the trace of g1 g2) gives the plane
+model Psi(x,y), normalized monic in its y-leading coefficient.
 """
 
 from __future__ import annotations
@@ -14,10 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import _poly_divmod, _poly_gcd_field
-from .matrices import Mat2, word_matrix
+from .matrices import Mat2
 from .padics import Zp, power, sqrt_mod_prime
 from .presentations import TwoBridgePresentation
 from .words import gen
+
+
+def _add_into(out: dict, terms: dict, k: int = 1) -> dict:
+    """out += k * terms in place (k != 0), dropping cancelled keys; returns out."""
+    for key, c in terms.items():
+        c = out.get(key, 0) + k * c
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
 
 
 class BivariatePoly:
@@ -69,15 +82,12 @@ class BivariatePoly:
         other = self._coerce(other)
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BivariatePoly(out)
+        return BivariatePoly._wrap(_add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BivariatePoly({k: -c for k, c in self.terms.items()})
+        return BivariatePoly._wrap({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -93,16 +103,6 @@ class BivariatePoly:
             return BivariatePoly({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        if not small:  # the zero entries of C and D in the word matrix
-            return BivariatePoly()
-        if len(small) == 1:
-            # a monomial factor shifts exponents and scales coefficients;
-            # over Z no product vanishes and no two keys collide
-            (((i2, j2), c2),) = small.items()
-            return BivariatePoly._wrap({(i1 + i2, j1 + j2): c1 * c2 for (i1, j1), c1 in big.items()})
         out: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
@@ -132,10 +132,10 @@ class BivariatePoly:
 
     def mirror_first(self) -> "BivariatePoly":
         """Substitute the first variable by its inverse."""
-        return BivariatePoly({(-i, j): c for (i, j), c in self.terms.items()})
+        return BivariatePoly._wrap({(-i, j): c for (i, j), c in self.terms.items()})
 
     def shift_first(self, l: int) -> "BivariatePoly":
-        return BivariatePoly({(i + l, j): c for (i, j), c in self.terms.items()})
+        return BivariatePoly._wrap({(i + l, j): c for (i, j), c in self.terms.items()})
 
     def max_first(self) -> int:
         return max((i for i, _ in self.terms), default=0)
@@ -147,7 +147,7 @@ class BivariatePoly:
         return max((j for _, j in self.terms), default=0)
 
     def coeff_of_second(self, j: int) -> "BivariatePoly":
-        return BivariatePoly({(i, 0): c for (i, jj), c in self.terms.items() if jj == j})
+        return BivariatePoly._wrap({(i, 0): c for (i, jj), c in self.terms.items() if jj == j})
 
     def substitute_second(self, repl: "BivariatePoly") -> "BivariatePoly":
         """Replace the second variable by repl (given in the target vars),
@@ -163,7 +163,7 @@ class BivariatePoly:
         return out
 
     def derivative_second(self) -> "BivariatePoly":
-        return BivariatePoly({(i, j - 1): c * j for (i, j), c in self.terms.items() if j > 0})
+        return BivariatePoly._wrap({(i, j - 1): c * j for (i, j), c in self.terms.items() if j > 0})
 
     def eval_modp(self, a: int, b: int, p: int) -> int:
         """Value at (first, second) = (a, b) in F_p; negative first powers
@@ -214,49 +214,47 @@ class BivariatePoly:
         return "BivariatePoly(%s)" % self.text()
 
 
-_T = BivariatePoly.first_var(1)
-_TINV = BivariatePoly.first_var(-1)
-_U = BivariatePoly.second_var()
-_ZERO = BivariatePoly()
-_ONE = BivariatePoly.constant(1)
-
-
-def matrix_C() -> Mat2:
-    return Mat2(_T, _ONE, _ZERO, _TINV)
-
-
-def matrix_D() -> Mat2:
-    return Mat2(_T, _ZERO, _U, _TINV)
-
-
 def riley_word_matrix(pres: TwoBridgePresentation) -> Mat2:
     """W = C^eps1 D^eps2 C^eps3 ... over Z[t^(+-1), u]: the image of w
-    under g1 -> C, g2 -> D."""
-    return word_matrix({1: matrix_C(), 2: matrix_D()}, pres.w, _ONE, _ZERO)
+    under g1 -> C, g2 -> D.
+
+    Each letter updates both rows (a, b) of W in place of a matrix
+    product: C^s sends (a, b) to (a t^s, s a + b t^-s) and D^s sends it
+    to (a t^s + s b u, b t^-s).
+    """
+    rows = [[{(0, 0): 1}, {}], [{}, {(0, 0): 1}]]
+    for g, s in pres.w:
+        for row in rows:
+            a = {(i + s, j): c for (i, j), c in row[0].items()}
+            b = {(i - s, j): c for (i, j), c in row[1].items()}
+            if g == 1:
+                _add_into(b, row[0], s)
+            else:
+                _add_into(a, {(i, j + 1): c for (i, j), c in row[1].items()}, s)
+            row[:] = a, b
+    return Mat2(*(BivariatePoly._wrap(e) for row in rows for e in row))
 
 
 def _symmetrize(phi: BivariatePoly) -> tuple[int, BivariatePoly]:
-    """Find l with t^l * phi symmetric under t <-> 1/t and rewrite it as
-    a polynomial in x = t + 1/t (coefficients polynomial in u)."""
-    span = max(abs(phi.max_first()), abs(phi.min_first()))
-    shift = None
-    for l in sorted(range(-span - 1, span + 2), key=lambda v: (abs(v), v)):
-        cand = phi.shift_first(l)
-        if cand == cand.mirror_first():
-            shift = l
-            break
-    if shift is None:
+    """The l with t^l * phi symmetric under t <-> 1/t (it spans -k..k in t,
+    so l = -(lowest + highest)/2), and t^l * phi as a polynomial in
+    x = t + 1/t with coefficients polynomial in u."""
+    lo, hi = phi.min_first(), phi.max_first()
+    l = -(lo + hi) // 2
+    sym = phi.shift_first(l)
+    if sym != sym.mirror_first():  # also when lo + hi is odd
         raise ValueError("no power of t symmetrizes phi; not a valid input")
-    psi = phi.shift_first(shift)
-    x_in_t = _T + _TINV
-    out = BivariatePoly()
-    while psi.max_first() > 0:
-        d = psi.max_first()
-        cd = BivariatePoly({(0, j): c for (i, j), c in psi.terms.items() if i == d})
-        out = out + cd.shift_first(d)
-        psi = psi - cd * x_in_t**d
-    out = out + psi  # remaining terms are t-free
-    return shift, out
+    columns: dict[int, dict[tuple[int, int], int]] = {}
+    for (i, j), c in sym.terms.items():
+        if i >= 0:
+            columns.setdefault(i, {})[(0, j)] = c
+    out = BivariatePoly._wrap(columns.get(0, {}))
+    v_prev, v = BivariatePoly.constant(2), BivariatePoly.first_var(1)  # V_(k-1), V_k
+    for k in range(1, sym.max_first() + 1):
+        if k in columns:
+            out = out + v * BivariatePoly._wrap(columns[k])
+        v_prev, v = v, v.shift_first(1) - v_prev
+    return l, out
 
 
 @dataclass(frozen=True)
@@ -275,15 +273,12 @@ class RileyData:
 
 def riley_polynomial(pres: TwoBridgePresentation) -> RileyData:
     W = riley_word_matrix(pres)
-    phi = W.a + (_TINV - _T) * W.b
+    phi = W.a + W.b.shift_first(-1) - W.b.shift_first(1)
     l, phi_xu = _symmetrize(phi)
     x = BivariatePoly.first_var(1)
     y = BivariatePoly.second_var()
     psi0 = phi_xu.substitute_second(y - x * x + 2)
-    lead = psi0.coeff_of_second(psi0.degree_second())
-    sign = 1
-    if lead == BivariatePoly.constant(-1):
-        sign = -1
+    sign = -1 if psi0.coeff_of_second(psi0.degree_second()) == -1 else 1
     return RileyData(
         m=pres.m, n=pres.n, W=W, phi=phi, l=l, phi_xu=phi_xu, sign=sign, psi=psi0 * sign
     )

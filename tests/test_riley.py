@@ -15,17 +15,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import bivariate_product, psi_scan, rep_scan, substitute_by_powers
 from twobridge.deformations import Representation
-from twobridge.matrices import Mat2
+from twobridge.matrices import Mat2, word_matrix
 from twobridge.padics import Zp
 from twobridge.presentations import two_bridge
 from twobridge.riley import (
     BivariatePoly,
     _roots_modp,
+    _symmetrize,
     build_modp_rep,
     char_points,
     discriminant,
-    matrix_C,
-    matrix_D,
     relation_holds,
     riley_polynomial,
     riley_word_matrix,
@@ -88,13 +87,18 @@ def test_b31_intermediates():
 
 
 def test_generator_matrix_traces():
-    C, D = matrix_C(), matrix_D()
-    t2 = BivariatePoly.first_var(2)
-    tm2 = BivariatePoly.first_var(-2)
-    u = BivariatePoly.second_var()
-    assert (C * D).trace() == t2 + tm2 + u
+    t, tinv = BivariatePoly.first_var(1), BivariatePoly.first_var(-1)
+    u, zero, one = BivariatePoly.second_var(), BivariatePoly(), BivariatePoly.constant(1)
+    C, D = Mat2(t, one, zero, tinv), Mat2(t, zero, u, tinv)
+    assert (C * D).trace() == BivariatePoly.first_var(2) + BivariatePoly.first_var(-2) + u
     assert C.det() == 1
     assert D.det() == 1
+    # the row-by-row W is the generic product of C and D along w
+    for m in range(3, 16, 2):
+        for n in range(2 - m, m, 2):
+            if math.gcd(m, n) == 1:
+                pres = two_bridge(m, n)
+                assert riley_word_matrix(pres) == word_matrix({1: C, 2: D}, pres.w, 1, 0), (m, n)
 
 
 @pytest.mark.parametrize("mn", [(3, 1), (5, 3), (7, 3), (9, 5), (3, -1)])
@@ -103,7 +107,7 @@ def test_word_matrix_det_one(mn):
     assert W.det() == BivariatePoly.constant(1)
 
 
-@pytest.mark.parametrize("mn", [(3, 1), (5, 3), (7, 3), (9, 5)])
+@pytest.mark.parametrize("mn", [(3, 1), (5, 3), (7, 3), (9, 5), (3, -1), (31, -9), (47, -15)])
 def test_symmetrization_reconstructs_phi(mn):
     data = riley_polynomial(two_bridge(*mn))
     x_in_t = BivariatePoly.first_var(1) + BivariatePoly.first_var(-1)
@@ -112,6 +116,18 @@ def test_symmetrization_reconstructs_phi(mn):
         assert i >= 0
         rebuilt = rebuilt + BivariatePoly({(0, j): c}) * x_in_t**i
     assert rebuilt == data.phi.shift_first(data.l)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1, 0): 1, (0, 0): 1},  # t + 1: odd exponent span
+        {(2, 0): 1, (0, 0): 2, (-2, 0): 3},  # t^2 + 2 + 3t^-2: unequal mirror coefficients
+    ],
+)
+def test_symmetrize_rejects_unsymmetrizable_phi(terms):
+    with pytest.raises(ValueError, match="no power of t symmetrizes phi"):
+        _symmetrize(BivariatePoly(terms))
 
 
 @pytest.mark.parametrize("mn", sorted(PSI_GOLDENS))

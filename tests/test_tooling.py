@@ -72,6 +72,8 @@ def test_tracer_counts_the_riley_kernels(capsys):
         assert tracer.counts["riley.%s.calls" % name] > 0, name
     # char_points reduces Psi once per x and never evaluates it point by point
     assert tracer.counts["riley.eval_modp.calls"] == 0
+    # the Riley word matrix is built row by row, not by the generic word product
+    assert tracer.counts["matrices.word_matrix.calls"] == 0
     after = _package_namespace()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
