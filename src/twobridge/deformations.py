@@ -179,44 +179,44 @@ def _sl2_family(key, pres, x, b, char_point, expected_residual, params, negate_o
     return _verify_family(fam)
 
 
-def build_rho1(N: int = 8, D: int = 8) -> DeformationFamily:
+def build_rho1(N: int = 8, D: int = 8, pres: TwoBridgePresentation | None = None) -> DeformationFamily:
     ring = ZpT(3, N, D)
     return _sl2_family(
-        "rho1", two_bridge(3, 1), ring([2, 1]), -1,
+        "rho1", pres or two_bridge(3, 1), ring([2, 1]), -1,
         (2, 1), (((0, 2), (1, 2)), ((2, 2), (1, 0))), lambda x, c: {},
     )
 
 
-def build_rho2(N: int = 8, D: int = 8) -> DeformationFamily:
+def build_rho2(N: int = 8, D: int = 8, pres: TwoBridgePresentation | None = None) -> DeformationFamily:
     ring = ZpT(7, N, D)
     return _sl2_family(
-        "rho2", two_bridge(5, 3), ring([-2, 1]), -1,
+        "rho2", pres or two_bridge(5, 3), ring([-2, 1]), -1,
         (5, 5), (((0, 6), (1, 5)), ((5, 6), (1, 0))), lambda x, c: {"u": x * x - 3 + c * 8},
     )
 
 
-def build_rho3(N: int = 8, D: int = 8) -> DeformationFamily:
+def build_rho3(N: int = 8, D: int = 8, pres: TwoBridgePresentation | None = None) -> DeformationFamily:
     ring = ZpT(11, N, D)
     base = ring.base
     sqrt5 = sqrt_positive(base(5))
     alpha = (base(3) - sqrt5) * base(2).invert_unit()
     xi = (base(4) - sqrt5) * base(4).invert_unit()
     return _sl2_family(
-        "rho3", two_bridge(7, 3), ring([alpha.r, 1]), -1,
+        "rho3", pres or two_bridge(7, 3), ring([alpha.r, 1]), -1,
         (5, 5), (((5, 10), (1, 0)), ((5, 1), (10, 0))),
         lambda x, c: {"s": 1 - c, "xi": xi, "sqrt5": sqrt5},
         negate_off_diagonal=True,
     )
 
 
-def build_rho4(N: int = 8, D: int = 8) -> DeformationFamily:
+def build_rho4(N: int = 8, D: int = 8, pres: TwoBridgePresentation | None = None) -> DeformationFamily:
     ring = ZpT(19, N, D)
     base = ring.base
     sqrt5 = sqrt_positive(base(5))
     alpha = (base(3) + sqrt5) * base(2).invert_unit()
     zeta = (base(7) + sqrt5) * base(8).invert_unit()
     return _sl2_family(
-        "rho4", two_bridge(7, 3), ring([alpha.r, 1]), 1,
+        "rho4", pres or two_bridge(7, 3), ring([alpha.r, 1]), 1,
         (6, 6), (((14, 1), (1, 11)), ((11, 1), (1, 14))),
         lambda x, c: {"v": c + 1, "zeta": zeta, "sqrt5": sqrt5},
     )
@@ -230,12 +230,16 @@ FAMILY_BUILDERS = {
 }
 
 
-def build_family(key: str, N: int = 8, D: int = 8) -> DeformationFamily:
+def build_family(
+    key: str, N: int = 8, D: int = 8, pres: TwoBridgePresentation | None = None
+) -> DeformationFamily:
+    """The family key at (N, D); pres, when given, is its presentation
+    from another build, with its Fox images and Riley polynomial cached."""
     try:
         builder = FAMILY_BUILDERS[key]
     except KeyError:
         raise ValueError("unknown family %r; choose from %s" % (key, sorted(FAMILY_BUILDERS)))
-    return builder(N=N, D=D)
+    return builder(N=N, D=D, pres=pres)
 
 
 # --- specialization -------------------------------------------------------

@@ -38,14 +38,14 @@ class LaurentPoly:
         return cls(ring, {0: c})
 
     def _check(self, other: "LaurentPoly") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise ValueError("mixed rings: %r vs %r" % (self.ring, other.ring))
 
     def _coerce(self, other):
         if isinstance(other, int):
             return LaurentPoly.constant(self.ring, other)
         if isinstance(other, PadicInt):
-            if other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise ValueError("scalar from incompatible ring %r" % (other.ring,))
             return LaurentPoly.constant(self.ring, other.r)
         return other
@@ -114,7 +114,7 @@ class LaurentPoly:
     def evaluate(self, t0) -> PadicInt:
         if isinstance(t0, int):
             t0 = self.ring(t0)
-        if t0.ring != self.ring:
+        if t0.ring is not self.ring:
             raise ValueError("evaluation point from incompatible ring")
         if self.is_zero:
             return self.ring.zero
@@ -129,7 +129,7 @@ class LaurentPoly:
         other = self._coerce(other) if isinstance(other, (int, PadicInt)) else other
         return (
             isinstance(other, LaurentPoly)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.coeffs == other.coeffs
         )
 

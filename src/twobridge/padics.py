@@ -5,13 +5,32 @@ to 0 here means "indistinguishable from zero at precision"; callers that
 need to certify a genuine zero must re-run at higher precision (the
 pipeline re-runs at N+4, D+4). The residue field F_p is Zp(p, 1).
 
+Rings are interned: Zp(p, N) and ZpT(p, N, D) return one object per
+key, so elements of one ring share their ring by identity and a prime is
+tested once per ring. to_ring maps an element to another ring over the
+same p: truncation to a smaller one, or the lift that keeps every digit
+to a larger one.
+
+Series multiplication is the schoolbook convolution, reduced once per
+coefficient. Where D >= _KRONECKER_MIN_D and p^N fits in a 64-bit word
+with room to spare, it is one integer product instead (Kronecker
+substitution; Harvey 2009): each operand, trimmed of trailing zero
+coefficients, is packed into slots of one or two 64-bit words, at least
+2*bits(p^N) + bits(D+1) bits wide so that no slot of the product carries
+into the next, and the low D+1 slots are read back.
+
 Square roots follow a fixed branch: sqrt(a) is the root whose reduction
 mod (p, T) lies in {1, ..., (p-1)/2}. Newton iteration is used for both
-square roots and Hensel lifting of simple polynomial roots.
+square roots and Hensel lifting of simple polynomial roots. Its first
+steps run at doubling precision in smaller rings (Brent and Kung 1978):
+Zp(p, n) for n = 2, 4, 8, ... < N, and ZpT(p, N, d) for d = 1, 3, 7, ...
+< D, each step doubling the (p, T)-adic precision of the iterate. The
+stop-when-unchanged loop then finishes at full precision.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,6 +125,12 @@ def _newton_cap(modulus_exponent: int) -> int:
     return max(1, modulus_exponent.bit_length()) + 4
 
 
+# The smallest D at which a series product is one integer product
+# (Kronecker substitution). Measured on CPython 3.11 (ROADMAP 2(d)):
+# end to end, lift is unchanged at D <= 12 and faster from D = 16.
+_KRONECKER_MIN_D = 16
+
+
 def power(base, k: int, one):
     """base^k for k >= 0 by square-and-multiply; one is the ring's 1."""
     out = one
@@ -118,7 +143,20 @@ def power(base, k: int, one):
     return out
 
 
-class Zp:
+class _Interned(type):
+    """Metaclass of the ring descriptors: one object per constructor key,
+    so rings compare by identity and each is validated once."""
+
+    _rings: dict = {}
+
+    def __call__(cls, *key):
+        ring = cls._rings.get((cls, key))
+        if ring is None:
+            ring = cls._rings[(cls, key)] = super().__call__(*key)
+        return ring
+
+
+class Zp(metaclass=_Interned):
     """Descriptor of Z/p^N for an odd prime p; N=1 is the field F_p."""
 
     __slots__ = ("p", "N", "modulus")
@@ -143,12 +181,6 @@ class Zp:
     def one(self) -> "PadicInt":
         return self(1)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Zp) and (self.p, self.N) == (other.p, other.N)
-
-    def __hash__(self) -> int:
-        return hash(("Zp", self.p, self.N))
-
     def __repr__(self) -> str:
         return "Zp(%d, %d)" % (self.p, self.N)
 
@@ -163,7 +195,7 @@ class PadicInt:
         self.r = r % ring.modulus
 
     def _check(self, other: "PadicInt") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise ValueError("mixed rings: %r vs %r" % (self.ring, other.ring))
 
     def __add__(self, other):
@@ -232,10 +264,15 @@ class PadicInt:
         """Reduction mod the maximal ideal (p)."""
         return self.r % self.ring.p
 
+    def to_ring(self, ring: Zp) -> "PadicInt":
+        """The image in Zp(p, n): reduction mod p^n, or for n > N the
+        lift with the same residue in [0, p^N)."""
+        return self if ring is self.ring else PadicInt(ring, self.r)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             return self.r == other % self.ring.modulus
-        return isinstance(other, PadicInt) and self.ring == other.ring and self.r == other.r
+        return isinstance(other, PadicInt) and self.ring is other.ring and self.r == other.r
 
     def __hash__(self) -> int:
         return hash((self.ring, self.r))
@@ -250,10 +287,10 @@ class PadicInt:
         return {"p": self.ring.p, "N": self.ring.N, "residue": str(self.r)}
 
 
-class ZpT:
+class ZpT(metaclass=_Interned):
     """Descriptor of Z/p^N[[T]]/T^(D+1)."""
 
-    __slots__ = ("p", "N", "D", "base")
+    __slots__ = ("p", "N", "D", "base", "slot")
 
     def __init__(self, p: int, N: int, D: int):
         self.base = Zp(p, N)
@@ -262,6 +299,10 @@ class ZpT:
         self.p = p
         self.N = N
         self.D = D
+        # 64-bit words per slot of a Kronecker product, wide enough for a sum
+        # of D+1 products of coefficients; 0 selects the schoolbook product
+        bits = 2 * self.base.modulus.bit_length() + (D + 1).bit_length()
+        self.slot = -(-bits // 64) if bits <= 128 and D >= _KRONECKER_MIN_D else 0
 
     def __call__(self, coeffs: Sequence[int]) -> "PadicSeries":
         cs = list(coeffs)[: self.D + 1]
@@ -270,7 +311,7 @@ class ZpT:
 
     def constant(self, c) -> "PadicSeries":
         if isinstance(c, PadicInt):
-            if c.ring != self.base:
+            if c.ring is not self.base:
                 raise ValueError("constant from incompatible ring %r" % (c.ring,))
             c = c.r
         return self([c])
@@ -287,14 +328,19 @@ class ZpT:
     def T(self) -> "PadicSeries":
         return self([0, 1])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ZpT) and (self.p, self.N, self.D) == (other.p, other.N, other.D)
-
-    def __hash__(self) -> int:
-        return hash(("ZpT", self.p, self.N, self.D))
-
     def __repr__(self) -> str:
         return "ZpT(%d, %d, %d)" % (self.p, self.N, self.D)
+
+
+def _packed(coeffs: tuple[int, ...], w: int) -> tuple[int, int]:
+    """The integer with the coefficients, trailing zeros trimmed, in slots
+    of w 64-bit words, lowest first; and the number of slots."""
+    k = len(coeffs)
+    while k and not coeffs[k - 1]:
+        k -= 1
+    words = [0] * (w * k)
+    words[::w] = coeffs[:k]
+    return int.from_bytes(struct.pack("<%dQ" % len(words), *words), "little"), k
 
 
 class PadicSeries:
@@ -307,7 +353,7 @@ class PadicSeries:
         self.coeffs = coeffs
 
     def _check(self, other: "PadicSeries") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise ValueError("mixed rings: %r vs %r" % (self.ring, other.ring))
 
     def _coerce(self, other):
@@ -345,21 +391,28 @@ class PadicSeries:
             m = self.ring.base.modulus
             return PadicSeries(self.ring, tuple((a * other) % m for a in self.coeffs))
         if isinstance(other, PadicInt):
-            if other.ring != self.ring.base:
+            if other.ring is not self.ring.base:
                 raise ValueError("scalar from incompatible ring %r" % (other.ring,))
             return self * other.r
         if not isinstance(other, PadicSeries):
             return NotImplemented
         self._check(other)
-        D = self.ring.D
-        bs = other.coeffs
-        out = [0] * (D + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(D + 1 - i):
-                    out[i + j] += a * bs[j]
-        m = self.ring.base.modulus
-        return PadicSeries(self.ring, tuple(c % m for c in out))  # one reduction per coefficient
+        ring = self.ring
+        D, m, w = ring.D, ring.base.modulus, ring.slot
+        if w:
+            x, la = _packed(self.coeffs, w)
+            y, lb = _packed(other.coeffs, w)
+            buf = (x * y).to_bytes(8 * w * max(la + lb, D + 1), "little")
+            words = struct.unpack_from("<%dQ" % (w * (D + 1)), buf)
+            out = words if w == 1 else [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
+        else:
+            bs = other.coeffs
+            out = [0] * (D + 1)
+            for i, a in enumerate(self.coeffs):
+                if a:
+                    for j in range(D + 1 - i):
+                        out[i + j] += a * bs[j]
+        return PadicSeries(ring, tuple(c % m for c in out))  # one reduction per coefficient
 
     __rmul__ = __mul__
 
@@ -392,6 +445,11 @@ class PadicSeries:
     def coefficient(self, k: int) -> PadicInt:
         return self.ring.base(self.coeffs[k])
 
+    def to_ring(self, ring: ZpT) -> "PadicSeries":
+        """The image in ZpT(p, n, d): truncation mod (p^n, T^(d+1)), or
+        the lift that keeps every coefficient and pads with zeros."""
+        return self if ring is self.ring else ring(self.coeffs)
+
     def residue(self) -> int:
         """Reduction mod the maximal ideal (p, T)."""
         return self.coeffs[0] % self.ring.p
@@ -416,7 +474,7 @@ class PadicSeries:
         tail term then has valuation >= N; otherwise the tail could change
         the low digits, so this raises Indeterminate.
         """
-        if t0.ring != self.ring.base:
+        if t0.ring is not self.ring.base:
             raise ValueError("evaluation point from incompatible ring %r" % (t0.ring,))
         if t0.is_unit:
             raise ValueError("specialization point must lie in the maximal ideal")
@@ -433,7 +491,7 @@ class PadicSeries:
             return self == self.ring.constant(other)
         return (
             isinstance(other, PadicSeries)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.coeffs == other.coeffs
         )
 
@@ -475,15 +533,29 @@ def _modulus_exponent(x) -> int:
     return x.ring.N + x.ring.D + 1
 
 
+def _doubling_rings(ring) -> list:
+    # Zp(p, n) for n = 2, 4, 8, ... < N, or ZpT(p, N, d) for d + 1 = 2, 4, 8, ... < D + 1
+    if isinstance(ring, Zp):
+        return [Zp(ring.p, 1 << k) for k in range(1, (ring.N - 1).bit_length())]
+    return [ZpT(ring.p, ring.N, (1 << k) - 1) for k in range(1, ring.D.bit_length())]
+
+
 def _newton(seed, step, name: str):
     """Iterate s -> step(s) from seed until it stops changing.
 
-    Each Newton step doubles the (p, T)-adic precision, so a run still
-    moving after _newton_cap steps never settles; that raises
-    ArithmeticError naming the caller.
+    The seed is right mod the maximal ideal. The first steps run in the
+    smaller rings of _doubling_rings, each on the previous iterate mapped
+    into the next ring, so step must map its own data to s.ring. Each
+    Newton step doubles the (p, T)-adic precision, so the iterate lifted
+    to full precision needs few more steps. A run still moving after
+    _newton_cap steps there never settles; that raises ArithmeticError
+    naming the caller.
     """
-    s = seed
-    for _ in range(_newton_cap(_modulus_exponent(seed))):
+    ring, s = seed.ring, seed
+    for small in _doubling_rings(ring):
+        s = step(s.to_ring(small))
+    s = s.to_ring(ring)
+    for _ in range(_newton_cap(_modulus_exponent(s))):
         nxt = step(s)
         if nxt == s:
             return s
@@ -516,7 +588,7 @@ def sqrt_positive(a):
     else:
         c0 = sqrt_positive(a.constant_term())
         s = a.ring.constant(c0)
-    s = _newton(s, lambda s: _half(s + a * s.invert_unit()), "sqrt")
+    s = _newton(s, lambda s: _half(s + a.to_ring(s.ring) * s.invert_unit()), "sqrt")
     if not (s * s == a):
         raise ArithmeticError("sqrt Newton stabilized at a non-root")
     return s
@@ -539,12 +611,13 @@ def poly_derivative(coeffs: Sequence) -> list:
 def hensel_root(coeffs: Sequence, seed):
     """Lift a simple root: Newton iteration from a seed root mod (p, T).
 
-    coeffs lists the polynomial's coefficients, ascending, as elements of
-    the working ring (PadicInt or PadicSeries). Requires f(seed) = 0 and
-    f'(seed) a unit mod the maximal ideal; raises BadSeed / SingularRoot
-    otherwise. The returned root r satisfies f(r) = 0 at full precision
-    and r = seed mod (p, T).
+    coeffs lists the polynomial's coefficients, ascending, as ints or
+    elements of the working ring (PadicInt or PadicSeries). Requires
+    f(seed) = 0 and f'(seed) a unit mod the maximal ideal; raises
+    BadSeed / SingularRoot otherwise. The returned root r satisfies
+    f(r) = 0 at full precision and r = seed mod (p, T).
     """
+    coeffs = [seed.ring.zero + c for c in coeffs]
     fs = poly_eval(coeffs, seed)
     if fs.residue() != 0:
         raise BadSeed("f(seed) is not 0 mod the maximal ideal")
@@ -552,7 +625,13 @@ def hensel_root(coeffs: Sequence, seed):
     dfs = poly_eval(dcoeffs, seed)
     if not dfs.is_unit:
         raise SingularRoot("f'(seed) is not a unit mod the maximal ideal")
-    s = _newton(seed, lambda s: s - poly_eval(coeffs, s) * poly_eval(dcoeffs, s).invert_unit(), "Hensel")
+
+    def step(s):
+        f = [c.to_ring(s.ring) for c in coeffs]
+        df = [c.to_ring(s.ring) for c in dcoeffs]
+        return s - poly_eval(f, s) * poly_eval(df, s).invert_unit()
+
+    s = _newton(seed, step, "Hensel")
     if not poly_eval(coeffs, s).is_zero:
         raise ArithmeticError("Hensel iteration stabilized at a non-root")
     return s

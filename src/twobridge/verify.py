@@ -6,7 +6,8 @@ lies on the Riley curve at full precision: Psi(tr rho(g1), tr rho(g1 g2))
 is exactly zero in Z/p^N[[T]]/T^(D+1). verify_example repeats the run at
 escalated precision and additionally requires the L normal form to be
 stable; the stages that read only the residual representation
-(ResidualStages) are computed once and shared by both runs.
+(ResidualStages), and the presentation with its Fox images and Riley
+polynomial, are computed once and shared by both runs.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .homology import (
 )
 from .laurent import LaurentPoly
 from .padics import DivisorNormalForm, Indeterminate, PadicInt
+from .presentations import TwoBridgePresentation
 from .registry import RILEY_PSI_TERMS, get_example
 from .riley import char_points
 from .words import FreeWord, gen
@@ -54,8 +56,10 @@ class CheckRow:
 @dataclass(frozen=True)
 class ResidualStages:
     """The stages of run_example that read only the residual
-    representation, so do not depend on the precision (N, D)."""
+    representation, so do not depend on the precision (N, D); and the
+    presentation, which caches its Fox images and Riley polynomial."""
 
+    pres: TwoBridgePresentation
     rep: Representation
     alexander: TwistedAlexander
     delta_at_one: PadicInt
@@ -68,6 +72,7 @@ def residual_stages(fam: DeformationFamily) -> ResidualStages:
     res_rep = fam.rep.residual()
     ta = twisted_alexander(fam.pres, res_rep)
     return ResidualStages(
+        pres=fam.pres,
         rep=res_rep,
         alexander=ta,
         delta_at_one=ta.value_at_one(),
@@ -114,7 +119,7 @@ def run_example(
     def row(name: str, passed: bool, detail: str = "") -> None:
         rows.append(CheckRow(name=name, passed=bool(passed), detail=detail))
 
-    fam = build_family(ex.family_key, N=N, D=D)
+    fam = build_family(ex.family_key, N=N, D=D, pres=residual.pres if residual else None)
     pres, p = fam.pres, fam.p
 
     data = pres.riley

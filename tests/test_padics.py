@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import series_product
 
+from twobridge import deformations, padics
 from twobridge.laurent import LaurentPoly
 from twobridge.padics import (
+    _KRONECKER_MIN_D,
     BadSeed,
     DivisorNormalForm,
     Indeterminate,
@@ -192,10 +194,13 @@ def test_series_arithmetic():
 
 
 def _coefficients(draw, modulus, D):
-    """Zero, constant, sparse or dense coefficients below modulus."""
-    kind = draw(st.sampled_from(["zero", "constant", "sparse", "dense"]))
+    """Zero, constant, sparse, dense or all-maximal coefficients below
+    modulus; the last fill every slot of a Kronecker product to its top."""
+    kind = draw(st.sampled_from(["zero", "constant", "sparse", "dense", "max"]))
     if kind == "zero":
         return [0] * (D + 1)
+    if kind == "max":
+        return [modulus - 1] * (D + 1)
     if kind == "constant":
         return [draw(st.integers(1, modulus - 1))] + [0] * D
     digit = st.integers(0, modulus - 1)
@@ -208,9 +213,11 @@ def _coefficients(draw, modulus, D):
 @st.composite
 def _series_pairs(draw):
     p = draw(st.sampled_from([3, 5, 11, 19, 101, 65537, 2**61 - 1]))
-    digits = draw(st.integers(1, 8))  # p^N spans 1 to 8 64-bit machine digits
-    N = max(1, 64 * digits // p.bit_length())
-    D = draw(st.integers(0, 40))
+    # p^N from a few bits, where a Kronecker slot is one 64-bit word, to
+    # eight 64-bit machine digits, far past the word-size bound
+    bits = draw(st.sampled_from([8, 16, 28, 40, 56, 64, 128, 256, 512]))
+    N = max(1, bits // p.bit_length())
+    D = draw(st.integers(0, 100))
     R = ZpT(p, N, D)
     modulus = R.base.modulus
     return R, _coefficients(draw, modulus, D), _coefficients(draw, modulus, D)
@@ -224,6 +231,39 @@ def test_series_mul_matches_schoolbook_convolution(case):
     expected = tuple(series_product(a, b, R.base.modulus, R.D))
     assert (f * g).coeffs == expected
     assert (g * f).coeffs == expected
+
+
+def _kronecker_bound_cases():
+    """(p, N, D, words): D just below and at _KRONECKER_MIN_D, and at 100;
+    for each, the largest N whose product slot of 2 bits(p^N) + bits(D+1)
+    bits fits in one and in two 64-bit words, and the next N up. words is
+    the slot width the ring must choose, 0 for the schoolbook product."""
+    cases = []
+    for p in (3, 19):
+        for D in (_KRONECKER_MIN_D - 1, _KRONECKER_MIN_D, 100):
+            for width in (64, 128):
+                N = max(n for n in range(1, 200) if 2 * (p**n).bit_length() + (D + 1).bit_length() <= width)
+                words = width // 64 if D >= _KRONECKER_MIN_D else 0
+                cases.append((p, N, D, words))
+                cases.append((p, N + 1, D, 2 if words == 1 else 0))
+    return cases
+
+
+@pytest.mark.parametrize("p, N, D, words", _kronecker_bound_cases())
+def test_series_mul_on_both_sides_of_the_kronecker_bounds(p, N, D, words):
+    R = ZpT(p, N, D)
+    assert R.slot == words
+    m = R.base.modulus
+    rng = random.Random(p * 1000 + N * 100 + D)
+    top = [m - 1] * (D + 1)  # every slot at its largest sum
+    dense = [rng.randrange(m) for _ in range(D + 1)]
+    sparse = [0] * (D + 1)
+    for k in rng.sample(range(D + 1), 3):
+        sparse[k] = rng.randrange(1, m)
+    for a, b in [(top, top), ([m - 1], top), (sparse, top), (dense, top), (dense, sparse), ([0], dense), (top, [])]:
+        expected = tuple(series_product(a, b, m, D))
+        assert (R(a) * R(b)).coeffs == expected
+        assert (R(b) * R(a)).coeffs == expected
 
 
 def test_series_inversion():
@@ -363,6 +403,106 @@ def test_newton_stops_at_the_fixed_point():
 def test_newton_raises_when_the_step_never_settles(seed, name):
     with pytest.raises(ArithmeticError, match="^%s Newton iteration failed to stabilize$" % name):
         _newton(seed, lambda s: s + 1, name)
+
+
+def _full_precision_newton(seed, step, name):
+    # the Newton driver without the doubling schedule: every step at the
+    # seed's own precision until the iterate stops changing
+    s = seed
+    for _ in range(padics._newton_cap(padics._modulus_exponent(seed))):
+        nxt = step(s)
+        if nxt == s:
+            return s
+        s = nxt
+    raise ArithmeticError("%s Newton iteration failed to stabilize" % name)
+
+
+# N >> D, D >> N and N ~ D, and the scalar rings at the same N
+NEWTON_PRECISIONS = [(40, 3), (2, 40), (12, 12), (1, 17), (17, 0)]
+
+
+@pytest.mark.parametrize("N, D", NEWTON_PRECISIONS)
+@pytest.mark.parametrize("p", [3, 11, 19])
+def test_doubling_newton_matches_the_full_precision_loop(monkeypatch, p, N, D):
+    rng = random.Random(p * 10000 + N * 100 + D)
+    R, F = ZpT(p, N, D), Zp(p, N)
+    cases = []  # (function, arguments), each run by both drivers
+    for _ in range(4):
+        f = _random_series(rng, R, unit=True)
+        cases.append((sqrt_positive, (f * f,)))
+        x = F(rng.randrange(1, p) + p * rng.randrange(F.modulus))  # a unit
+        cases.append((sqrt_positive, (x * x,)))
+        # (s - r0)(s - r0 - u) with u a unit: r0 is a simple root; the seed
+        # is right only mod (p, T)
+        r0, u = _random_series(rng, R), _random_series(rng, R, unit=True)
+        cases.append((hensel_root, ([r0 * (r0 + u), -(r0 + r0 + u), R.one], R.constant(r0.residue()))))
+        x0, v = F(rng.randrange(F.modulus)), F(rng.randrange(1, p))
+        cases.append((hensel_root, ([x0 * (x0 + v), -(x0 + x0 + v), 1], F(x0.residue()))))
+    got = [fn(*args) for fn, args in cases]
+    monkeypatch.setattr(padics, "_newton", _full_precision_newton)
+    want = [fn(*args) for fn, args in cases]
+    assert [(g.ring, str(g)) for g in got] == [(w.ring, str(w)) for w in want]
+
+
+def test_to_ring_truncates_and_lifts():
+    R, small = ZpT(5, 4, 6), ZpT(5, 4, 2)
+    f = R([1, 2, 3, 4, 5, 6, 7])
+    assert f.to_ring(small).coeffs == (1, 2, 3)
+    assert f.to_ring(small).to_ring(R).coeffs == (1, 2, 3, 0, 0, 0, 0)
+    assert f.to_ring(R) is f
+    assert f.to_ring(ZpT(5, 1, 6)).coeffs == (1, 2, 3, 4, 0, 1, 2)
+    x = Zp(5, 4)(3 + 2 * 5 + 4 * 125)
+    assert x.to_ring(Zp(5, 2)).r == 13
+    assert x.to_ring(Zp(5, 2)).to_ring(Zp(5, 4)).r == 13
+    assert x.to_ring(x.ring) is x
+
+
+# --- interned rings --------------------------------------------------------
+
+
+def test_rings_are_interned():
+    assert ZpT(7, 5, 9) is ZpT(7, 5, 9)
+    assert Zp(7, 5) is Zp(7, 5) is ZpT(7, 5, 9).base
+    assert ZpT(7, 5, 9) is not ZpT(7, 5, 10)
+    assert Zp(7, 5)(3) == Zp(7, 5)(3 + 7**5)
+    assert {Zp(7, 5)(3): 1}[Zp(7, 5)(3)] == 1
+
+
+def test_primality_is_tested_once_per_ring(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(padics, "is_prime", counting)
+    Zp(11, 977)  # a key no other test builds
+    assert calls == [11]
+    ZpT(11, 977, 5), Zp(11, 977)
+    assert calls == [11]
+    deformations.build_rho3(N=23, D=5)
+    after_first = len(calls)
+    for _ in range(3):
+        deformations.build_rho3(N=23, D=5)
+    assert len(calls) == after_first
+
+
+def test_mixed_ring_errors_name_both_rings():
+    a, b = Zp(5, 3), Zp(5, 4)
+    S, S2 = ZpT(5, 3, 4), ZpT(5, 3, 5)
+    cases = [
+        (lambda: a(1) + b(1), "mixed rings: Zp(5, 3) vs Zp(5, 4)"),
+        (lambda: a(1) * b(1), "mixed rings: Zp(5, 3) vs Zp(5, 4)"),
+        (lambda: S.one + S2.one, "mixed rings: ZpT(5, 3, 4) vs ZpT(5, 3, 5)"),
+        (lambda: S.one * S2.one, "mixed rings: ZpT(5, 3, 4) vs ZpT(5, 3, 5)"),
+        (lambda: S.constant(b(1)), "constant from incompatible ring Zp(5, 4)"),
+        (lambda: S.one * b(1), "scalar from incompatible ring Zp(5, 4)"),
+        (lambda: S.T.specialize(b(5)), "evaluation point from incompatible ring Zp(5, 4)"),
+    ]
+    for fn, text in cases:
+        with pytest.raises(ValueError) as err:
+            fn()
+        assert str(err.value) == text
 
 
 def test_gcd_normal_form_reference_vectors():

@@ -172,3 +172,21 @@ def test_verify_example_computes_residual_stages_once(monkeypatch):
     # polynomial and torsion witness per run
     assert counts == {"char_points": 1, "twisted_alexander": 3, "ad_cohomology": 1, "torsion_witness": 3}
     assert report.escalated.residual is report.base.residual
+
+
+def test_verify_example_computes_the_riley_polynomial_once(monkeypatch):
+    # both runs build their family on one presentation, which caches the
+    # Riley polynomial and the Fox images
+    calls = []
+
+    def counting(pres):
+        calls.append((pres.m, pres.n))
+        return riley_polynomial(pres)
+
+    monkeypatch.setattr(riley, "riley_polynomial", counting)
+    for example_id in EXAMPLE_IDS:
+        calls.clear()
+        report = verify_example(example_id)
+        assert report.ok
+        assert len(calls) == 1, example_id
+        assert report.escalated.residual.pres is report.base.residual.pres
