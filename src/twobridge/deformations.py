@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .matrices import Mat2, word_matrix
+from .matrices import Mat2
 from .padics import PadicInt, PadicSeries, Zp, ZpT, hensel_root, poly_eval, sqrt_positive
 from .presentations import TwoBridgePresentation, two_bridge
 from .riley import relation_holds
@@ -41,19 +41,22 @@ class BranchMismatch(ArithmeticError):
 
 class Representation:
     """Matrix assignment for the two generators over Zp(p, N) or
-    ZpT(p, N, D), each of determinant exactly 1 (inverse letters are
-    adjugates), with a per-word cache: a letter evaluates through
-    word_matrix; a longer word w is rep(first letter) times rep(w minus
-    its first letter) when that suffix is cached, and otherwise
-    rep(w minus its last letter) times rep(last letter), from its
-    longest cached prefix on."""
+    ZpT(p, N, D), each of determinant exactly 1, with a per-word cache
+    that starts from the identity and the letter images (an inverse
+    letter is the adjugate). A word w that is not cached is rep(first
+    letter) times rep(w minus its first letter) when that suffix is
+    cached, and otherwise its longest cached prefix times its remaining
+    letters, one at a time, with each new prefix cached."""
 
-    __slots__ = ("ring", "matrices", "_cache")
+    __slots__ = ("ring", "matrices", "_letters", "_cache")
 
     def __init__(self, ring, matrices: dict[int, Mat2]):
         self.ring = ring
         self.matrices = dict(matrices)
-        self._cache: dict[FreeWord, Mat2] = {}
+        self._letters = {(i, s): m if s == 1 else m.sl2_inverse()
+                         for i, m in self.matrices.items() for s in (1, -1)}
+        self._cache: dict[FreeWord, Mat2] = {FreeWord(): Mat2.identity(ring.one, ring.zero)}
+        self._cache.update((FreeWord((x,)), m) for x, m in self._letters.items())
 
     @property
     def p(self) -> int:
@@ -68,19 +71,17 @@ class Representation:
         return self.ring.zero
 
     def __call__(self, word: FreeWord) -> Mat2:
-        m = self._cache.get(word)
-        if m is None and len(word) < 2:
-            m = self._cache[word] = word_matrix(self.matrices, word, self.one, self.zero)
-        elif m is None and (tail := self._cache.get(word.suffix(len(word) - 1))) is not None:
-            m = self._cache[word] = self(word.prefix(1)) * tail
+        cache, letters = self._cache, word.letters
+        m = cache.get(word)
+        if m is None and (tail := cache.get(word.suffix(len(word) - 1))) is not None:
+            m = cache[word] = self._letters[letters[0]] * tail
         elif m is None:
-            k = len(word) - 1  # the longest cached prefix, else the first letter
-            while k > 1 and word.prefix(k) not in self._cache:
+            k = len(word) - 1  # the identity is cached, so this stops
+            while word.prefix(k) not in cache:
                 k -= 1
-            m = self(word.prefix(k))
+            m = cache[word.prefix(k)]
             for j in range(k, len(word)):
-                m = m * self(FreeWord(word.letters[j : j + 1]))
-                self._cache[word.prefix(j + 1)] = m
+                m = cache[word.prefix(j + 1)] = m * self._letters[letters[j]]
         return m
 
     def residual(self) -> "Representation":
@@ -400,32 +401,27 @@ def trace_axioms(
       triple      T(a)T(b)T(c) + T(abc) + T(acb)
                     = T(ab)T(c) + T(bc)T(a) + T(ac)T(b)
 
-    T(a b) is tr(rep(a) rep(b)) and T(a b c) is tr((rep(a) rep(b)) rep(c)),
-    which is T of the reduced product word as rep has determinant exactly 1.
-    override maps reduced product words to replacement trace values; it
-    exists so tests can corrupt a single value and watch an axiom fail.
+    T(w) is tr rep(w) for the reduced word w, read from rep's cache.
+    override maps reduced words to replacement trace values; it exists
+    so tests can corrupt a single value and watch an axiom fail.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1, got %r" % (max_len,))
     override = override or {}
 
-    def T(*factors: FreeWord):
-        if override and (w := FreeWord(x for f in factors for x in f)) in override:
-            return override[w]  # looked up by the reduced product word
-        *head, n = [rep(f) for f in factors]
-        if not head:
-            return n.trace()
-        m = head[0] * head[1] if len(head) == 2 else head[0]
-        return m.a * n.a + m.b * n.c + m.c * n.b + m.d * n.d
+    def T(w: FreeWord):
+        return override[w] if w in override else rep(w).trace()
 
     # (name, arity, defect): an identity holds on a sample iff its defect is zero
     identities = (
-        ("symmetry", 2, lambda a, b: T(a, b) - T(b, a)),
-        ("square", 1, lambda a: T(a) * T(a) - T(a, a) - 2),
-        ("product", 2, lambda a, b: T(a) * T(b) - (T(a, b) + T(a.inverse(), b))),
+        ("symmetry", 2, lambda a, b: T(a * b) - T(b * a)),
+        ("square", 1, lambda a: T(a) * T(a) - T(a * a) - 2),
+        ("product", 2, lambda a, b: T(a) * T(b) - (T(a * b) + T(a.inverse() * b))),
         (
             "triple",
             3,
-            lambda a, b, c: T(a) * T(b) * T(c) + T(a, b, c) + T(a, c, b)
-            - (T(a, b) * T(c) + T(b, c) * T(a) + T(a, c) * T(b)),
+            lambda a, b, c: T(a) * T(b) * T(c) + T(a * b * c) + T(a * c * b)
+            - (T(a * b) * T(c) + T(b * c) * T(a) + T(a * c) * T(b)),
         ),
     )
     nonempty = reduced_words(max_len, include_identity=False)

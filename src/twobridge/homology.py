@@ -298,7 +298,7 @@ def fitting_delta(rows: Sequence[Sequence], d: int) -> FittingResult:
         mu = min(vals)
         if mu >= sample.ring.N:
             raise Indeterminate("all minors vanish at precision p^N")
-        nf = DivisorNormalForm(mu=mu, lam=0, certified=True, witness=vals.index(mu))
+        nf = DivisorNormalForm(mu=mu, lam=0, certified=True)
     else:
         raise TypeError("unsupported entry type %r" % type(sample))
     return FittingResult(d=res.d, kind="proper", minors=res.minors, normal_form=nf)
@@ -346,7 +346,6 @@ class VanishingReport:
     delta0_unit: bool
     l_form: DivisorNormalForm
     residual_delta_at_one: PadicInt
-    residual_witness_det: PadicInt | None
     consistent: bool
 
     def to_json(self) -> dict:
@@ -376,7 +375,6 @@ class VanishingReport:
             delta0_unit=d0.certified_unit,
             l_form=lres.normal_form,
             residual_delta_at_one=delta1,
-            residual_witness_det=residual_tors.witness_det,
             consistent=consistent,
         )
 

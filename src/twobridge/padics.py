@@ -654,7 +654,6 @@ class DivisorNormalForm:
     mu: int
     lam: int
     certified: bool
-    witness: int | None = None
 
     def is_unit_form(self) -> bool:
         return self.mu == 0 and self.lam == 0
@@ -687,13 +686,5 @@ def gcd_normal_form(inputs: Sequence[PadicSeries]) -> DivisorNormalForm:
         )
     mu = min(f.min_coeff_valuation() for f in inputs)
     lam = min(f.t_order() for f in nonzero)
-    certified = False
-    witness = None
-    for idx, f in enumerate(inputs):
-        if f.is_zero:
-            continue
-        if f.t_order() == lam and f.coefficient(lam).valuation() == mu:
-            certified = True
-            witness = idx
-            break
-    return DivisorNormalForm(mu=mu, lam=lam, certified=certified, witness=witness)
+    certified = any(f.t_order() == lam and f.coefficient(lam).valuation() == mu for f in nonzero)
+    return DivisorNormalForm(mu=mu, lam=lam, certified=certified)

@@ -150,15 +150,15 @@ def test_relation_words_evaluated_once(monkeypatch):
     assert universality_certificate(fam).relation_ok
     # the point check and the Riley polynomial multiply; nothing over the family's ring
     assert rings and fam.ring not in rings
-    # on a fresh representation, g2 w is rho(g2) times the w that the
-    # prefixes of w g1 cached: one product, not |w| (6, 12, 16 and 16
-    # products in all before that lookup)
-    for key, products in (("rho1", 5), ("rho2", 9), ("rho3", 11), ("rho4", 11)):
+    # on a fresh representation, w g1 takes one product per letter after
+    # the first, and g2 w is rho(g2) times the w that the prefixes of
+    # w g1 cached: |w| + 1 products in all
+    for key, products in (("rho1", 3), ("rho2", 5), ("rho3", 7), ("rho4", 7)):
         fam = FAMILIES[key]
         rep = Representation(fam.ring, fam.rep.matrices)
         rings.clear()
         assert relation_holds(fam.pres, rep)
-        assert len(rings) == products
+        assert len(rings) == products == len(fam.pres.w) + 1
         rings.clear()
         assert relation_holds(fam.pres, rep)
         assert rings == []
@@ -355,6 +355,12 @@ def test_trace_axioms_detect_corruption():
     assert js["ok"] is False and js["violation"]["axiom"] == bad.violation.axiom
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_trace_axioms_rejects_max_len_below_one(max_len):
+    with pytest.raises(ValueError, match="max_len"):
+        trace_axioms(FAMILIES["rho1"].rep, max_len=max_len)
+
+
 def _evaluator_reps():
     rng = random.Random(17)
     ring = Zp(7, 2)
@@ -378,6 +384,25 @@ def test_representation_matches_word_matrix(name):
         fresh = Representation(rep.ring, rep.matrices)
         for w in order:
             assert fresh(w) == expected[w], (name, str(w))
+
+
+def test_representation_starts_from_its_letter_images(monkeypatch):
+    reps = _evaluator_reps()
+    products = []
+    mul = Mat2.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Mat2, "__mul__", counting)
+    for name, rep in reps.items():
+        fresh = Representation(rep.ring, rep.matrices)
+        assert fresh(FreeWord()) == Mat2.identity(rep.one, rep.zero), name
+        for i in (1, 2):
+            assert fresh(gen(i)) == rep.matrices[i], name
+            assert fresh(gen(i, -1)) == rep.matrices[i].sl2_inverse(), name
+        assert products == [], name
 
 
 def test_representation_long_word_without_recursion():
