@@ -401,27 +401,34 @@ def trace_axioms(
       triple      T(a)T(b)T(c) + T(abc) + T(acb)
                     = T(ab)T(c) + T(bc)T(a) + T(ac)T(b)
 
-    T(w) is tr rep(w) for the reduced word w, read from rep's cache.
-    override maps reduced words to replacement trace values; it exists
-    so tests can corrupt a single value and watch an axiom fail.
+    T(a b) is tr(rep(a) rep(b)) and T(a b c) is tr((rep(a) rep(b)) rep(c)),
+    which is T of the reduced product word as rep has determinant exactly 1.
+    override maps reduced product words to replacement trace values; it
+    exists so tests can corrupt a single value and watch an axiom fail.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1, got %r" % (max_len,))
     override = override or {}
 
-    def T(w: FreeWord):
-        return override[w] if w in override else rep(w).trace()
+    def T(*factors: FreeWord):
+        if override and (w := FreeWord(x for f in factors for x in f)) in override:
+            return override[w]  # looked up by the reduced product word
+        *head, n = [rep(f) for f in factors]
+        if not head:
+            return n.trace()
+        m = head[0] * head[1] if len(head) == 2 else head[0]
+        return m.a * n.a + m.b * n.c + m.c * n.b + m.d * n.d
 
     # (name, arity, defect): an identity holds on a sample iff its defect is zero
     identities = (
-        ("symmetry", 2, lambda a, b: T(a * b) - T(b * a)),
-        ("square", 1, lambda a: T(a) * T(a) - T(a * a) - 2),
-        ("product", 2, lambda a, b: T(a) * T(b) - (T(a * b) + T(a.inverse() * b))),
+        ("symmetry", 2, lambda a, b: T(a, b) - T(b, a)),
+        ("square", 1, lambda a: T(a) * T(a) - T(a, a) - 2),
+        ("product", 2, lambda a, b: T(a) * T(b) - (T(a, b) + T(a.inverse(), b))),
         (
             "triple",
             3,
-            lambda a, b, c: T(a) * T(b) * T(c) + T(a * b * c) + T(a * c * b)
-            - (T(a * b) * T(c) + T(b * c) * T(a) + T(a * c) * T(b)),
+            lambda a, b, c: T(a) * T(b) * T(c) + T(a, b, c) + T(a, c, b)
+            - (T(a, b) * T(c) + T(b, c) * T(a) + T(a, c) * T(b)),
         ),
     )
     nonempty = reduced_words(max_len, include_identity=False)

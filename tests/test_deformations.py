@@ -329,6 +329,15 @@ def test_trace_axioms_on_series_family():
     assert report.ok
 
 
+def test_trace_axioms_cache_only_the_sampled_words():
+    # a product's trace is read from its factors' images, so the cache of
+    # a long-lived representation does not grow by every product word
+    fam = build_family("rho2", N=4, D=4)
+    rep = Representation(fam.ring, fam.rep.matrices)
+    assert trace_axioms(rep, max_len=3, budget=40, seed=0).ok
+    assert max(len(w) for w in rep._cache) == 3
+
+
 def test_trace_axioms_free_group_random_assignment():
     # trace identities hold for any det-1 pair, relation or not
     rng = random.Random(9)
