@@ -117,6 +117,11 @@ GOLDEN_JSON = [
     ("lift --example rho3 --prec 30 --deg 30", 0, "6e8cf76c8bc3f984f6b993b1046ebbc0c55753b1154b2601ccf89ac587da3dfb"),
     ("lift --example rho4 --prec 8 --deg 96", 0, "16d0c8df5282fb0f1efbda3d410ac4e6bee92100f4df7f42100f1d3740040b8c"),
     ("lfunction --example rho4 --prec 46 --deg 46", 0, "d75c4aaab820d3eeacae037792e70b546d925b0540dd53530da3aa21159da3a6"),
+    # boundary2 on every series-product path: one-word and two-word
+    # Kronecker slots, and the schoolbook product at large coefficients
+    ("lfunction --example rho3 --prec 6 --deg 96", 0, "8c2dc7fab9a360d46081c295c9b64905efd799abd3103100ccee629ce248f7dd"),
+    ("lfunction --example rho4 --prec 10 --deg 96", 0, "6f6c16dd39a2c52ab2b820d7ae0b0a2e6209d9e5a325b24ee979878eb81c9de0"),
+    ("lfunction --example rho3 --prec 60 --deg 60", 0, "5a8d3d38b94ab8b110070e9f3e85bcba0d724e034032d9158efe09423aa7c850"),
     ("verify-example --id 4.5.3a --prec 16 --deg 16", 0, "e790186040b253272402d253feaa53385a47749fec05d62669a564f52032ed58"),
     ("verify-example --id 4.5.3b --prec 16 --deg 16", 0, "103d5ac0eb510655afc24b16f4055455fdb909fe06eccfaf78561e07ddbcf32e"),
     ("verify-example --id 4.5.3b --prec 1 --deg 8", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
