@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, Iterable
 
 from .deformations import build_family, universality_certificate
 from .groupring import fox_derivative
@@ -24,11 +25,13 @@ from .verify import verify_example
 from .words import parse_word
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:
+    """Print payload as JSON under --json, else text_lines(), which only
+    the text mode builds (in full before its first line is printed)."""
     if args.json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
-        for line in text_lines:
+        for line in list(text_lines()):
             print(line)
 
 
@@ -45,13 +48,12 @@ def cmd_presentation(args) -> int:
         "w": _letters(pres.w),
         "relator": _letters(pres.relator),
     }
-    lines = [
+    _emit(args, payload, lambda: [
         "B(%d, %d)" % (pres.m, pres.n),
         "epsilon: %s" % (" ".join("%+d" % e for e in pres.epsilon)),
         "w = %s" % pres.w,
         "relator = %s" % pres.relator,
-    ]
-    _emit(args, payload, lines)
+    ])
     return 0
 
 
@@ -60,7 +62,7 @@ def cmd_fox(args) -> int:
     elt = fox_derivative(word, args.gen)
     pairs = [[str(w), c] for w, c in elt.sorted_items()]
     payload = {"word": str(word), "gen": args.gen, "derivative": pairs}
-    _emit(args, payload, ["d(%s)/dg%d = %s" % (word, args.gen, elt)])
+    _emit(args, payload, lambda: ["d(%s)/dg%d = %s" % (word, args.gen, elt)])
     return 0
 
 
@@ -76,12 +78,11 @@ def cmd_riley(args) -> int:
         "l": data.l,
         "sign": data.sign,
     }
-    lines = [
+    _emit(args, payload, lambda: [
         "phi(t, u)  = %s" % data.phi.text(("t", "u")),
         "phi(x, u)  = %s  (t^%d phi = phi_xu at x = t + 1/t)" % (data.phi_xu.text(("x", "u")), data.l),
         "psi(x, y)  = %s" % data.psi.text(("x", "y")),
-    ]
-    _emit(args, payload, lines)
+    ])
     return 0
 
 
@@ -95,15 +96,18 @@ def cmd_char_points(args) -> int:
         "points": [pt.to_json() for pt in pts],
         "count": len(pts),
     }
-    lines = ["(x, y) over F_%d on the character scheme:" % args.p]
-    for pt in pts:
-        tags = []
-        if pt.on_abelian_line:
-            tags.append("abelian-line")
-        if pt.absolutely_irreducible:
-            tags.append("absolutely-irreducible")
-        lines.append("  (%2d, %2d)  %s" % (pt.x, pt.y, " ".join(tags)))
-    lines.append("%d points" % len(pts))
+
+    def lines():
+        yield "(x, y) over F_%d on the character scheme:" % args.p
+        for pt in pts:
+            tags = []
+            if pt.on_abelian_line:
+                tags.append("abelian-line")
+            if pt.absolutely_irreducible:
+                tags.append("absolutely-irreducible")
+            yield "  (%2d, %2d)  %s" % (pt.x, pt.y, " ".join(tags))
+        yield "%d points" % len(pts)
+
     _emit(args, payload, lines)
     return 0
 
@@ -125,15 +129,14 @@ def cmd_lift(args) -> int:
         "g2": _series_json(fam.rep.matrices[2]),
         "certificate": cert.to_json(),
     }
-    lines = [
+    _emit(args, payload, lambda: [
         "family %s over Z_%d[[T]], T = x - alpha, alpha = %s" % (fam.key, fam.p, fam.alpha),
         "g1 = %s" % fam.rep.matrices[1],
         "g2 = %s" % fam.rep.matrices[2],
         "certificate: trace=%s relation=%s residual=%s point=%s regular=%s -> %s"
         % (cert.trace_ok, cert.relation_ok, cert.residual_ok, cert.point_ok, cert.regular,
            "ok" if cert.ok else "FAILED"),
-    ]
-    _emit(args, payload, lines)
+    ])
     return 0 if cert.ok else 1
 
 
@@ -148,14 +151,10 @@ def cmd_talex(args) -> int:
         "results": [r.to_json() for r in ta.results],
         "at_1": str(ta.value_at_one()),
     }
-    lines = []
-    for r in ta.results:
-        lines.append(
-            "delete g%d: numerator %s / denominator %s = %s"
-            % (r.deleted_index, r.numerator, r.denominator, r.quotient)
-        )
-    lines.append("Delta(1) = %s" % ta.value_at_one())
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [
+        "delete g%d: numerator %s / denominator %s = %s" % (r.deleted_index, r.numerator, r.denominator, r.quotient)
+        for r in ta.results
+    ] + ["Delta(1) = %s" % payload["at_1"]])
     return 0
 
 
@@ -166,10 +165,8 @@ def cmd_lfunction(args) -> int:
     payload = dict(nf.to_json())
     payload["minors"] = [m.to_json()["coeffs"] for m in lres.minors]
     payload["example"] = fam.key
-    lines = ["L = p^%d T^%d (certified=%s) for %s" % (nf.mu, nf.lam, nf.certified, fam.key)]
-    for k, m in enumerate(lres.minors, 1):
-        lines.append("  minor %d: %s" % (k, m))
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: ["L = p^%d T^%d (certified=%s) for %s" % (nf.mu, nf.lam, nf.certified, fam.key)]
+          + ["  minor %d: %s" % (k, m) for k, m in enumerate(lres.minors, 1)])
     return 0
 
 
@@ -178,22 +175,23 @@ def cmd_cohomology(args) -> int:
     dims = ad_cohomology(fam.pres, fam.rep.residual())
     payload = dims.to_json()
     payload["example"] = fam.key
-    _emit(args, payload, ["h0=%d h1=%d h2=%d for %s" % (dims.h0, dims.h1, dims.h2, fam.key)])
+    _emit(args, payload, lambda: ["h0=%d h1=%d h2=%d for %s" % (dims.h0, dims.h1, dims.h2, fam.key)])
     return 0
 
 
 def cmd_verify_example(args) -> int:
     report = verify_example(args.id, N=args.prec, D=args.deg)
     payload = report.to_json()
-    lines = ["example %s at N=%d D=%d" % (args.id, args.prec, args.deg)]
-    width = max(len(r.name) for r in report.base.rows)
-    for r in report.base.rows:
-        lines.append("  %s %-*s  %s" % ("PASS" if r.passed else "FAIL", width, r.name, r.detail))
-    lines.append(
-        "  %s %-*s  normal form stable at N=%d D=%d"
-        % ("PASS" if report.stable else "FAIL", width, "stability", report.escalated.N, report.escalated.D)
-    )
-    lines.append("result: %s" % ("ok" if report.ok else "FAILED"))
+
+    def lines():
+        yield "example %s at N=%d D=%d" % (args.id, args.prec, args.deg)
+        width = max(len(r.name) for r in report.base.rows)
+        for r in report.base.rows:
+            yield "  %s %-*s  %s" % ("PASS" if r.passed else "FAIL", width, r.name, r.detail)
+        yield "  %s %-*s  normal form stable at N=%d D=%d" % (
+            "PASS" if report.stable else "FAIL", width, "stability", report.escalated.N, report.escalated.D)
+        yield "result: %s" % ("ok" if report.ok else "FAILED")
+
     _emit(args, payload, lines)
     return 0 if report.ok else 1
 

@@ -12,15 +12,17 @@ matrices, lists of scalar rows:
   boundary2 is the 2n x 2(n-1) matrix whose block (i,j) is the transpose
   of rho(d r_j / d g_i); for n=2 its four rows are the columns a1..a4 of
   (rho(dr/dg1), rho(dr/dg2)), and it presents the cokernel of the second
-  boundary map (generators = its 4 rows).
+  boundary map (generators = its 4 rows). It checks the relation (or
+  raises ArithmeticError), then takes the blocks from fox_images: two
+  Mat2 products over the prefixes of w that the relation check cached.
 
   The composite of the two maps is the Fox identity pushed through rho:
   sum_i rho(dr_j/dg_i) (rho(g_i) - I) = rho(r_j - 1) = 0, exposed here
   as chain_contraction.
 
-The Fox images dr/dg_i come from pres.fox, computed once per
-presentation; boundary2, twisted_alexander and ad_cohomology only push
-them through their representation.
+The Fox derivatives are computed once per presentation: pres.fox_w
+(dw/dg_i) for fox_images, and pres.fox (dr/dg_i), which twisted_alexander
+and ad_cohomology push through their residual representation.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .padics import (
     gcd_normal_form,
 )
 from .presentations import TwoBridgePresentation
+from .riley import relation_holds
 from .words import FreeWord, gen, reduced_words
 
 
@@ -69,17 +72,28 @@ def boundary1(pres: TwoBridgePresentation, rep) -> list[list]:
     return [r1 + r2 for r1, r2 in zip(b1.rows(), b2.rows())]
 
 
+def fox_images(pres: TwoBridgePresentation, rep) -> tuple[Mat2, Mat2]:
+    """F_i = (I - rho(g2)) rho(dw/dg_i) + [i=1] rho(w) - [i=2] I, which is
+    rho(dr/dg_i) by pres.fox's identity when rho satisfies the relation,
+    rho(w g1) == rho(g2 w) (relation_holds); for other rho it is not."""
+    ident = Mat2.identity(rep.one, rep.zero)
+    left = ident - rep(gen(2))
+    f1, f2 = (left * apply_rep(rep, d) for d in pres.fox_w)
+    return f1 + rep(pres.w), f2 - ident
+
+
 def boundary2(pres: TwoBridgePresentation, rep) -> list[list]:
-    return [row for d in pres.fox for row in apply_rep(rep, d).transpose().rows()]
+    if not relation_holds(pres, rep):
+        raise ArithmeticError("boundary2 needs a representation that satisfies the relation")
+    return [row for f in fox_images(pres, rep) for row in f.transpose().rows()]
 
 
 def chain_contraction(pres: TwoBridgePresentation, rep) -> Mat2:
-    """sum_i rho(dr/dg_i) (rho(g_i) - I), the composite of the two
-    boundary maps. Zero for every representation satisfying the relation."""
-    acc = Mat2.identity(rep.zero, rep.zero)
-    for i, d in enumerate(pres.fox, 1):
-        acc = acc + apply_rep(rep, d) * _minus_identity(rep, gen(i))
-    return acc
+    """sum_i F_i (rho(g_i) - I) over fox_images, the composite of the two
+    boundary maps. By the Fox identity for w it equals rho(w g1) - rho(g2 w)
+    for every assignment, so it is zero exactly when the relation holds."""
+    f1, f2 = fox_images(pres, rep)
+    return f1 * _minus_identity(rep, gen(1)) + f2 * _minus_identity(rep, gen(2))
 
 
 # --- twisted Alexander invariant ----------------------------------------

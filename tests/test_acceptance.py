@@ -26,8 +26,10 @@ from twobridge.deformations import (
 from twobridge.groupring import fundamental_identity_defect
 from twobridge.homology import (
     ad_cohomology,
+    apply_rep,
     chain_contraction,
     delta0_h0,
+    fox_images,
     l_function,
     torsion_criterion,
     twisted_alexander,
@@ -390,6 +392,13 @@ def test_property_boundary_composition_vanishes(rep_pool):
     for pres, rep in rep_pool:
         m = chain_contraction(pres, rep)
         assert all(e.is_zero for e in (m.a, m.b, m.c, m.d))
+
+
+def test_property_fox_images_match_fox_derivatives(rep_pool):
+    assert len(rep_pool) >= 200
+    for pres, rep in rep_pool:
+        for f, d in zip(fox_images(pres, rep), pres.fox):
+            assert f == apply_rep(rep, d)
 
 
 def test_property_sqrt_and_hensel_roundtrip():

@@ -1,5 +1,7 @@
 """Fox calculus on the free group ring."""
 
+import math
+
 from hypothesis import given, settings, strategies as st
 
 from twobridge.groupring import (
@@ -43,6 +45,21 @@ def test_trefoil_relator_derivatives():
     # the presentation computes the pair once and keeps it
     assert pres.fox == (d1, d2)
     assert pres.fox is pres.fox
+
+
+def test_presentation_fox_equals_relator_derivatives():
+    # pres.fox is built from dw/dg_i by the product rule; as group-ring
+    # elements it must equal the relator's derivatives, for every B(m, n)
+    count = 0
+    for m in range(3, 32, 2):
+        for n in range(2 - m, m, 2):
+            if math.gcd(m, n) != 1:
+                continue
+            pres = two_bridge(m, n)
+            assert pres.fox_w == (fox_derivative(pres.w, 1), fox_derivative(pres.w, 2))
+            assert pres.fox == (fox_derivative(pres.relator, 1), fox_derivative(pres.relator, 2))
+            count += 1
+    assert count == 212
 
 
 def test_product_rule():

@@ -29,6 +29,7 @@ from twobridge.homology import (
     delta0_h0,
     fitting_delta,
     fitting_minors,
+    fox_images,
     l_function,
     torsion_criterion,
     twisted_alexander,
@@ -38,7 +39,7 @@ from twobridge.laurent import LaurentPoly, eq_up_to_unit
 from twobridge.matrices import Mat2
 from twobridge.padics import DivisorNormalForm, Indeterminate, Zp
 from twobridge.presentations import two_bridge
-from twobridge.riley import build_modp_rep, char_points
+from twobridge.riley import build_modp_rep, char_points, relation_holds
 from twobridge.words import FreeWord, gen
 
 KEYS = ("rho1", "rho2", "rho3", "rho4")
@@ -100,6 +101,46 @@ def test_chain_contraction_detects_non_representation():
     bad = _pair_rep(3, (((1, 1), (0, 1)), ((1, 0), (1, 1))))
     m = chain_contraction(two_bridge(3, 1), bad)
     assert not all(e.is_zero for e in (m.a, m.b, m.c, m.d))
+
+
+@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("N,D", [(8, 8), (30, 30)])
+def test_fox_images_match_fox_derivatives(key, N, D):
+    # oracle: the factored images against pres.fox pushed through rho
+    # term by term, on the family, its residual and a specialization
+    fam = build_family(key, N, D)
+    spec = specialize_family(fam, fam.alpha.residue())
+    for rep in (fam.rep, fam.rep.residual(), spec.rep):
+        assert relation_holds(fam.pres, rep)
+        for f, d in zip(fox_images(fam.pres, rep), fam.pres.fox):
+            assert f == apply_rep(rep, d)
+
+
+def test_boundary2_rejects_non_representation():
+    pres = two_bridge(3, 1)
+    bad = _pair_rep(3, (((1, 1), (0, 1)), ((1, 0), (1, 1))))
+    with pytest.raises(ArithmeticError):
+        boundary2(pres, bad)
+    # the contraction needs no such guard: it is rho(w g1) - rho(g2 w)
+    assert chain_contraction(pres, bad) == bad(pres.w * gen(1)) - bad(gen(2) * pres.w)
+
+
+def test_boundary2_costs_two_products(monkeypatch):
+    # a built family has checked the relation, which cached rho of every
+    # prefix of w: boundary2 multiplies I - rho(g2) by rho(dw/dg_i), i = 1, 2
+    calls = []
+    mul = Mat2.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Mat2, "__mul__", counting)
+    for key in KEYS:
+        fam = build_family(key)
+        calls.clear()
+        boundary2(fam.pres, fam.rep)
+        assert len(calls) == 2
 
 
 # --- twisted Alexander -----------------------------------------------------
