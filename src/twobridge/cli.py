@@ -152,9 +152,10 @@ def cmd_talex(args) -> int:
         "at_1": str(ta.value_at_one()),
     }
     _emit(args, payload, lambda: [
-        "delete g%d: numerator %s / denominator %s = %s" % (r.deleted_index, r.numerator, r.denominator, r.quotient)
-        for r in ta.results
-    ] + ["Delta(1) = %s" % payload["at_1"]])
+        *("delete g%d: numerator %s / denominator %s = %s"
+          % (r.deleted_index, r.numerator, r.denominator, r.quotient) for r in ta.results),
+        "Delta(1) = %s" % payload["at_1"],
+    ])
     return 0
 
 
@@ -165,8 +166,10 @@ def cmd_lfunction(args) -> int:
     payload = dict(nf.to_json())
     payload["minors"] = [m.to_json()["coeffs"] for m in lres.minors]
     payload["example"] = fam.key
-    _emit(args, payload, lambda: ["L = p^%d T^%d (certified=%s) for %s" % (nf.mu, nf.lam, nf.certified, fam.key)]
-          + ["  minor %d: %s" % (k, m) for k, m in enumerate(lres.minors, 1)])
+    _emit(args, payload, lambda: [
+        "L = p^%d T^%d (certified=%s) for %s" % (nf.mu, nf.lam, nf.certified, fam.key),
+        *("  minor %d: %s" % (k, m) for k, m in enumerate(lres.minors, 1)),
+    ])
     return 0
 
 

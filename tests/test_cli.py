@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from twobridge import cli
+from twobridge.riley import BivariatePoly
 
 CLI = [sys.executable, "-m", "twobridge.cli"]
 
@@ -133,6 +134,39 @@ def test_json_output_golden(command, code, digest, capsys):
     assert cli.main(command.split() + ["--json"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the text mode of every subcommand, byte for byte
+GOLDEN_TEXT = [
+    ("presentation --m 7 --n 3", 0, "f408d908177d943c7d91f56e15a50bb2cc026d4d06bcae07244dc1a62c257747"),
+    ("fox --word g1 --gen 1", 0, "6a508f7944a91cf61e9d2c3989c50c13dcdc39c7b62800bb2cd3e8aef0923385"),
+    ("riley --m 7 --n 3", 0, "d11db82e99d6de0b6f24196eac97a3317b891477ed820d1c4213e87fcf3526e1"),
+    ("char-points --m 7 --n 3 --p 211", 0, "09c99bf7146799ecbd23604a5554577d5c7f874b18a47791cbf98c06fc1cb2aa"),
+    ("lift --example rho1", 0, "a797e9a59c433f86683ea0e3b21f7ecb79ae438685ed71c7ac0b4c8b74c17647"),
+    ("talex --example rho4", 0, "da14ae570d72404ce4b6ab0a7c6b997d52be54733bb8e81d8a0a913092f12cf7"),
+    ("lfunction --example rho2", 0, "8870f53e8463dd8050535128f0f18d23ad320addd7596d890505ac8675f067eb"),
+    ("cohomology --example rho3", 0, "e2134e1861783da3342c88fd5aa5dbb0c13271952d154ec8c88d435159376bdc"),
+    ("verify-example --id 4.5.3b", 0, "019bb48a8603f469ee9c0d1b3f97d8f10e8b427ebac2b560b8e43d24dcd95d76"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDEN_TEXT, ids=[c for c, _, _ in GOLDEN_TEXT])
+def test_text_output_golden(command, code, digest, capsys):
+    assert cli.main(command.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_json_builds_no_text(monkeypatch, capsys):
+    # under --json the text lines are never built
+    def refuse(*args):
+        raise AssertionError("text built under --json")
+
+    monkeypatch.setattr(BivariatePoly, "text", refuse)
+    assert cli.main(["riley", "--m", "7", "--n", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 7
+    with pytest.raises(AssertionError):
+        cli.main(["riley", "--m", "7", "--n", "3"])
 
 
 def test_lift_certificate():
