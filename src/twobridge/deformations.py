@@ -39,24 +39,147 @@ class BranchMismatch(ArithmeticError):
     mod-p representation."""
 
 
+class _Image:
+    """A word's trace coordinates and, once asked for, its matrix."""
+
+    __slots__ = ("coords", "matrix")
+
+    def __init__(self, coords: tuple, matrix: Mat2 | None = None):
+        self.coords = coords
+        self.matrix = matrix
+
+
+_G1G2 = gen(1) * gen(2)
+
+
 class Representation:
     """Matrix assignment for the two generators over Zp(p, N) or
-    ZpT(p, N, D), each of determinant exactly 1, with a per-word cache
-    that starts from the identity and the letter images (an inverse
-    letter is the adjugate). A word w that is not cached is rep(first
-    letter) times rep(w minus its first letter) when that suffix is
-    cached, and otherwise its longest cached prefix times its remaining
-    letters, one at a time, with each new prefix cached."""
+    ZpT(p, N, D), each of determinant exactly 1, with a per-word cache.
 
-    __slots__ = ("ring", "matrices", "_letters", "_cache")
+    A word is cached as its trace coordinates (alpha, beta, gamma, delta):
+    rho(word) = alpha I + beta A + gamma B + delta AB with A = rho(g1) and
+    B = rho(g2), which exist for every word of a det-1 pair by
+    Cayley-Hamilton (Fricke-Vogt). With a = tr A, b = tr B, c = tr AB and
+    e = c - ab, a letter acts on M = (alpha, beta, gamma, delta) by
+
+      M B      = (-gamma, -delta, alpha + b gamma, beta + b delta)
+      A M      = (-beta, alpha + a beta, -delta, gamma + a delta)
+      M A      = (-beta + e gamma - b delta, alpha + a beta + b gamma + c delta,
+                  a gamma + delta, -gamma)
+      B M      = (e beta - gamma - a delta, b beta + delta,
+                  alpha + a beta + b gamma + c delta, -beta)
+      M g^-1   = tr(g) M - M g,     g^-1 M = tr(g) M - g M,
+
+    so a letter costs at most two products of dense series (e and c times
+    a coordinate); a and b are alpha + T along a family. The rules rest
+    on A^2 = aA - I and B^2 = bB - I, so the matrices must have
+    determinant exactly 1 (an inverse letter is the adjugate).
+
+    The cache starts from the identity, the letters and g1 g2 = AB. A
+    word w that is not cached is rho(first letter) times rho(w minus its
+    first letter) when that suffix is cached, and otherwise its longest
+    cached prefix times its remaining letters, one at a time, with each
+    new prefix cached. Calling rep(w) returns the matrix, built from the
+    coordinates once and kept with them; the identity and the letters
+    keep their given matrices, and AB is multiplied out on first use.
+    Where the coordinates are not unique (a reducible pair, for which
+    I, A, B, AB span less than all 2 x 2 matrices), two coordinate
+    vectors can name one matrix; compare matrices, not coordinates, to
+    decide equality.
+    """
+
+    __slots__ = ("ring", "matrices", "_traces", "_cache", "fox_images")
 
     def __init__(self, ring, matrices: dict[int, Mat2]):
         self.ring = ring
         self.matrices = dict(matrices)
-        self._letters = {(i, s): m if s == 1 else m.sl2_inverse()
-                         for i, m in self.matrices.items() for s in (1, -1)}
-        self._cache: dict[FreeWord, Mat2] = {FreeWord(): Mat2.identity(ring.one, ring.zero)}
-        self._cache.update((FreeWord((x,)), m) for x, m in self._letters.items())
+        A, B = self.matrices[1], self.matrices[2]
+        a, b = A.trace(), B.trace()
+        c = A.a * B.a + A.b * B.c + A.c * B.b + A.d * B.d
+        self._traces = (a, b, c, c - a * b)
+        one, zero = ring.one, ring.zero
+        self._cache: dict[FreeWord, _Image] = {
+            FreeWord(): _Image((one, zero, zero, zero), Mat2.identity(one, zero)),
+            gen(1): _Image((zero, one, zero, zero), A),
+            gen(1, -1): _Image((a, -one, zero, zero), A.sl2_inverse()),
+            gen(2): _Image((zero, zero, one, zero), B),
+            gen(2, -1): _Image((b, zero, -one, zero), B.sl2_inverse()),
+            _G1G2: _Image((zero, zero, zero, one)),
+        }
+        # homology.fox_images' results, keyed by the word w of the relator
+        self.fox_images: dict[FreeWord, tuple[Mat2, Mat2]] = {}
+
+    def __call__(self, word: FreeWord) -> Mat2:
+        img = self._cache.get(word) or self._image(word)
+        if img.matrix is None:
+            img.matrix = self._ab() if word == _G1G2 else self.matrix(img.coords)
+        return img.matrix
+
+    def coords(self, word: FreeWord) -> tuple:
+        """The trace coordinates of rho(word), cached."""
+        return (self._cache.get(word) or self._image(word)).coords
+
+    def _image(self, word: FreeWord) -> _Image:
+        cache, letters = self._cache, word.letters
+        tail = cache.get(word.suffix(len(word) - 1))
+        if tail is not None:
+            img = cache[word] = _Image(self.left(letters[0], tail.coords))
+            return img
+        k = len(word) - 1  # the identity is cached, so this stops
+        while word.prefix(k) not in cache:
+            k -= 1
+        m = cache[word.prefix(k)].coords
+        for j in range(k, len(word)):
+            m = self.right(m, letters[j])
+            img = cache[word.prefix(j + 1)] = _Image(m)
+        return img
+
+    def right(self, m: tuple, letter) -> tuple:
+        """The coordinates of M times rho(letter)."""
+        al, be, ga, de = m
+        a, b, c, e = self._traces
+        if letter == (2, 1):
+            return (-ga, -de, al + b * ga, be + b * de)
+        if letter == (2, -1):
+            return (ga + b * al, de + b * be, -al, -be)
+        u = b * ga + c * de
+        if letter == (1, 1):
+            return (e * ga - be - b * de, al + a * be + u, a * ga + de, -ga)
+        return (be + a * al - e * ga + b * de, -al - u, -de, ga + a * de)
+
+    def left(self, letter, m: tuple) -> tuple:
+        """The coordinates of rho(letter) times M."""
+        al, be, ga, de = m
+        a, b, c, e = self._traces
+        if letter == (1, 1):
+            return (-be, al + a * be, -de, ga + a * de)
+        if letter == (1, -1):
+            return (be + a * al, -al, de + a * ga, -ga)
+        u = a * be + c * de
+        if letter == (2, 1):
+            return (e * be - ga - a * de, b * be + de, al + u + b * ga, -be)
+        return (b * al - e * be + ga + a * de, -de, -al - u, be + b * de)
+
+    def matrix(self, m) -> Mat2:
+        """alpha I + beta A + gamma B + delta AB for m = (alpha, beta, gamma,
+        delta); its lower-right entry is its trace, 2 alpha + a beta +
+        b gamma + c delta, minus its upper-left one."""
+        al, be, ga, de = m
+        a, b, c, _ = self._traces
+        A, B, AB = self.matrices[1], self.matrices[2], self._ab()
+        top = al + be * A.a + ga * B.a + de * AB.a
+        return Mat2(
+            top,
+            be * A.b + ga * B.b + de * AB.b,
+            be * A.c + ga * B.c + de * AB.c,
+            al + al + a * be + b * ga + c * de - top,
+        )
+
+    def _ab(self) -> Mat2:
+        img = self._cache[_G1G2]
+        if img.matrix is None:
+            img.matrix = self.matrices[1] * self.matrices[2]
+        return img.matrix
 
     @property
     def p(self) -> int:
@@ -69,20 +192,6 @@ class Representation:
     @property
     def zero(self):
         return self.ring.zero
-
-    def __call__(self, word: FreeWord) -> Mat2:
-        cache, letters = self._cache, word.letters
-        m = cache.get(word)
-        if m is None and (tail := cache.get(word.suffix(len(word) - 1))) is not None:
-            m = cache[word] = self._letters[letters[0]] * tail
-        elif m is None:
-            k = len(word) - 1  # the identity is cached, so this stops
-            while word.prefix(k) not in cache:
-                k -= 1
-            m = cache[word.prefix(k)]
-            for j in range(k, len(word)):
-                m = cache[word.prefix(j + 1)] = m * self._letters[letters[j]]
-        return m
 
     def residual(self) -> "Representation":
         """Entrywise reduction mod the maximal ideal, over Zp(p, 1)."""

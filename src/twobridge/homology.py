@@ -13,8 +13,9 @@ matrices, lists of scalar rows:
   of rho(d r_j / d g_i); for n=2 its four rows are the columns a1..a4 of
   (rho(dr/dg1), rho(dr/dg2)), and it presents the cokernel of the second
   boundary map (generators = its 4 rows). It checks the relation (or
-  raises ArithmeticError), then takes the blocks from fox_images: two
-  Mat2 products over the prefixes of w that the relation check cached.
+  raises ArithmeticError), then takes the blocks from fox_images, summed
+  in trace coordinates over the prefixes of w that the relation check
+  cached and turned into matrices once per image.
 
   The composite of the two maps is the Fox identity pushed through rho:
   sum_i rho(dr_j/dg_i) (rho(g_i) - I) = rho(r_j - 1) = 0, exposed here
@@ -54,12 +55,17 @@ class DegenerateRepresentation(ArithmeticError):
 # --- boundary maps ---------------------------------------------------------
 
 
+def _linear_coords(rep, terms) -> list:
+    """The trace coordinates of sum c rho(w) over the (w, c) in terms."""
+    acc = [rep.zero] * 4
+    for w, c in terms:
+        acc = [s + u * c for s, u in zip(acc, rep.coords(w))]
+    return acc
+
+
 def apply_rep(rep, elt: GroupRingElement) -> Mat2:
     """Linear extension of a word representation to the group ring."""
-    acc = Mat2.identity(rep.zero, rep.zero)
-    for w, c in elt.items():
-        acc = acc + rep(w).scale(c)
-    return acc
+    return rep.matrix(_linear_coords(rep, elt.items()))
 
 
 def _minus_identity(rep, w: FreeWord) -> Mat2:
@@ -75,11 +81,23 @@ def boundary1(pres: TwoBridgePresentation, rep) -> list[list]:
 def fox_images(pres: TwoBridgePresentation, rep) -> tuple[Mat2, Mat2]:
     """F_i = (I - rho(g2)) rho(dw/dg_i) + [i=1] rho(w) - [i=2] I, which is
     rho(dr/dg_i) by pres.fox's identity when rho satisfies the relation,
-    rho(w g1) == rho(g2 w) (relation_holds); for other rho it is not."""
-    ident = Mat2.identity(rep.one, rep.zero)
-    left = ident - rep(gen(2))
-    f1, f2 = (left * apply_rep(rep, d) for d in pres.fox_w)
-    return f1 + rep(pres.w), f2 - ident
+    rho(w g1) == rho(g2 w) (relation_holds); for other rho it is not.
+    The pair is kept in rep.fox_images, so a representation pays for it
+    once per relator."""
+    images = rep.fox_images.get(pres.w)
+    if images is None:
+        images = rep.fox_images[pres.w] = _fox_images(pres, rep)
+    return images
+
+
+def _fox_images(pres: TwoBridgePresentation, rep) -> tuple[Mat2, Mat2]:
+    # each F_i in trace coordinates, with (I - rho(g2)) X as X minus one
+    # left multiplication by the letter g2, turned into a matrix once
+    f1, f2 = (_linear_coords(rep, d.items()) for d in pres.fox_w)
+    f1 = [x - y + z for x, y, z in zip(f1, rep.left((2, 1), f1), rep.coords(pres.w))]
+    f2 = [x - y for x, y in zip(f2, rep.left((2, 1), f2))]
+    f2[0] = f2[0] - rep.one
+    return rep.matrix(f1), rep.matrix(f2)
 
 
 def boundary2(pres: TwoBridgePresentation, rep) -> list[list]:
@@ -146,14 +164,17 @@ class TwistedAlexander:
 
 
 def _phi_matrix(rep, elt: GroupRingElement, laur_ring: Zp) -> Mat2:
-    """(rho tensor t^abelianization) applied to a group-ring element."""
+    """(rho tensor t^abelianization) applied to a group-ring element: its
+    words summed in trace coordinates per exponent sum k, each sum turned
+    into a matrix once and placed at t^k."""
+    by_power: dict[int, list] = {}
+    for w, c in elt.items():
+        by_power.setdefault(w.exponent_sum(), []).append((w, c))
     zero = LaurentPoly.zero(laur_ring)
     acc = Mat2.identity(zero, zero)
-    for w, c in elt.items():
-        m = rep(w)
-        k = w.exponent_sum()
-        lift = m.map(lambda e: LaurentPoly(laur_ring, {k: e.r * c}))
-        acc = acc + lift
+    for k, terms in by_power.items():
+        m = rep.matrix(_linear_coords(rep, terms))
+        acc = acc + m.map(lambda e: LaurentPoly(laur_ring, {k: e.r}))
     return acc
 
 

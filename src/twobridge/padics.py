@@ -25,7 +25,9 @@ square roots and Hensel lifting of simple polynomial roots. Its first
 steps run at doubling precision in smaller rings (Brent and Kung 1978):
 Zp(p, n) for n = 2, 4, 8, ... < N, and ZpT(p, N, d) for d = 1, 3, 7, ...
 < D, each step doubling the (p, T)-adic precision of the iterate. The
-stop-when-unchanged loop then finishes at full precision.
+stop-when-unchanged loop then finishes at full precision. A step returns
+its iterate unchanged once the residual is zero, so the step that
+confirms the root costs one residual and no inversion.
 """
 
 from __future__ import annotations
@@ -399,19 +401,26 @@ class PadicSeries:
         self._check(other)
         ring = self.ring
         D, m, w = ring.D, ring.base.modulus, ring.slot
-        if w:
-            x, la = _packed(self.coeffs, w)
-            y, lb = _packed(other.coeffs, w)
+        xs, ys = self.coeffs, other.coeffs
+        if ys.count(0) >= D - 1:  # at most two nonzero coefficients: put them on the left
+            xs, ys = ys, xs
+        if xs.count(0) >= D - 1:  # one shifted, scaled copy of ys per nonzero coefficient
+            out = [0] * (D + 1)
+            for i, a in enumerate(xs):
+                if a:
+                    out[i:] = [o + a * y for o, y in zip(out[i:], ys)]
+        elif w:
+            x, la = _packed(xs, w)
+            y, lb = _packed(ys, w)
             buf = (x * y).to_bytes(8 * w * max(la + lb, D + 1), "little")
             words = struct.unpack_from("<%dQ" % (w * (D + 1)), buf)
             out = words if w == 1 else [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
         else:
-            bs = other.coeffs
             out = [0] * (D + 1)
-            for i, a in enumerate(self.coeffs):
+            for i, a in enumerate(xs):
                 if a:
                     for j in range(D + 1 - i):
-                        out[i + j] += a * bs[j]
+                        out[i + j] += a * ys[j]
         return PadicSeries(ring, tuple(c % m for c in out))  # one reduction per coefficient
 
     __rmul__ = __mul__
@@ -563,12 +572,6 @@ def _newton(seed, step, name: str):
     raise ArithmeticError("%s Newton iteration failed to stabilize" % name)
 
 
-def _half(x):
-    if isinstance(x, PadicInt):
-        return x * x.ring(2).invert_unit()
-    return x * x.ring.base(2).invert_unit()
-
-
 def sqrt_positive(a):
     """Positive-branch square root of a unit, for PadicInt or PadicSeries.
 
@@ -585,10 +588,17 @@ def sqrt_positive(a):
         raise NoSquareRoot("%d is not a quadratic residue mod %d" % (r0, p))
     if isinstance(a, PadicInt):
         s = a.ring(seed_res)
+        half = (a.ring.modulus + 1) // 2  # the inverse of 2 mod p^n for every n <= N
     else:
         c0 = sqrt_positive(a.constant_term())
         s = a.ring.constant(c0)
-    s = _newton(s, lambda s: _half(s + a.to_ring(s.ring) * s.invert_unit()), "sqrt")
+        half = (a.ring.base.modulus + 1) // 2
+
+    def step(s):  # s - (s^2 - a) / (2 s), and s itself once s^2 = a
+        r = s * s - a.to_ring(s.ring)
+        return s if r.is_zero else s - r * s.invert_unit() * half
+
+    s = _newton(s, step, "sqrt")
     if not (s * s == a):
         raise ArithmeticError("sqrt Newton stabilized at a non-root")
     return s
@@ -626,10 +636,11 @@ def hensel_root(coeffs: Sequence, seed):
     if not dfs.is_unit:
         raise SingularRoot("f'(seed) is not a unit mod the maximal ideal")
 
-    def step(s):
-        f = [c.to_ring(s.ring) for c in coeffs]
-        df = [c.to_ring(s.ring) for c in dcoeffs]
-        return s - poly_eval(f, s) * poly_eval(df, s).invert_unit()
+    def step(s):  # s - f(s) / f'(s), and s itself once f(s) = 0
+        fs = poly_eval([c.to_ring(s.ring) for c in coeffs], s)
+        if fs.is_zero:
+            return s
+        return s - fs * poly_eval([c.to_ring(s.ring) for c in dcoeffs], s).invert_unit()
 
     s = _newton(seed, step, "Hensel")
     if not poly_eval(coeffs, s).is_zero:

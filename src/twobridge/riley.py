@@ -429,8 +429,14 @@ def build_modp_rep(
 def relation_holds(pres: TwoBridgePresentation, rep) -> bool:
     """Check rho(w g1) == rho(g2 w), the relation w g1 w^-1 g2^-1 = e.
 
-    rep is any evaluator taking a word to its Mat2 image, such as a
-    deformations.Representation, whose cache then holds both products
-    for the next check on the same representation.
+    rep is a deformations.Representation. Equal trace coordinates decide
+    it at once; otherwise the matrix of their difference is built and
+    tested for zero, since a reducible pair can give one matrix two
+    coordinate vectors. The cache then holds both words for the next
+    check on the same representation.
     """
-    return rep(pres.w * gen(1)) == rep(gen(2) * pres.w)
+    left, right = rep.coords(pres.w * gen(1)), rep.coords(gen(2) * pres.w)
+    if left == right:
+        return True
+    diff = rep.matrix([u - v for u, v in zip(left, right)])
+    return all(e.is_zero for e in (diff.a, diff.b, diff.c, diff.d))

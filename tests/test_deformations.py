@@ -18,8 +18,10 @@ from twobridge.deformations import (
     trace_axioms,
     universality_certificate,
 )
+from twobridge.homology import l_function
 from twobridge.matrices import Mat2, word_matrix
 from twobridge.padics import Indeterminate, Zp, ZpT
+from twobridge.presentations import two_bridge
 from twobridge.riley import relation_holds
 from twobridge.words import FreeWord, gen
 
@@ -133,9 +135,9 @@ def test_perturbed_family_fails_relation():
     assert not relation_holds(fam.pres, Representation(fam.ring, {1: bad, 2: g2}))
 
 
-def test_relation_words_evaluated_once(monkeypatch):
+def test_relation_words_evaluated_once(monkeypatch, series_products):
     # build_family and universality_certificate both check the relation;
-    # the second check must read the products the first one cached
+    # the second check must read the coordinates the first one cached
     fam = build_family("rho3")
     assert fam.pres.w * gen(1) in fam.rep._cache
     assert gen(2) * fam.pres.w in fam.rep._cache
@@ -147,21 +149,46 @@ def test_relation_words_evaluated_once(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(Mat2, "__mul__", counting)
+    series_products.clear()
     assert universality_certificate(fam).relation_ok
-    # the point check and the Riley polynomial multiply; nothing over the family's ring
+    # the point check multiplies over F_p; nothing over the family's ring
     assert rings and fam.ring not in rings
-    # on a fresh representation, w g1 takes one product per letter after
-    # the first, and g2 w is rho(g2) times the w that the prefixes of
-    # w g1 cached: |w| + 1 products in all
-    for key, products in (("rho1", 3), ("rho2", 5), ("rho3", 7), ("rho4", 7)):
+    assert series_products == []
+    # on a fresh representation the first check works in trace
+    # coordinates: no Mat2 product, and a dense series product only where
+    # e = c - ab or c = tr AB meets a dense coordinate, in the steps by
+    # g1^+-1 of w g1 and in the step g2 w
+    for key, dense in (("rho1", 0), ("rho2", 2), ("rho3", 3), ("rho4", 3)):
         fam = FAMILIES[key]
         rep = Representation(fam.ring, fam.rep.matrices)
         rings.clear()
-        assert relation_holds(fam.pres, rep)
-        assert len(rings) == products == len(fam.pres.w) + 1
-        rings.clear()
+        series_products.clear()
         assert relation_holds(fam.pres, rep)
         assert rings == []
+        assert sum(series_products) == dense, key
+        assert len(series_products) <= 5 * (len(fam.pres.w) + 1), key
+        series_products.clear()
+        assert relation_holds(fam.pres, rep)
+        assert rings == [] and series_products == []
+
+
+@pytest.mark.parametrize("key", ["rho3", "rho4"])
+def test_dense_product_budget_at_sixty(key, series_products):
+    # |w| = 6: the first relation check made 40 dense series products when
+    # every word was a Mat2 product; l_function made 64 on a fresh
+    # representation
+    fam = build_family(key, 60, 60)
+    rep = Representation(fam.ring, fam.rep.matrices)
+    series_products.clear()
+    assert relation_holds(fam.pres, rep)
+    assert sum(series_products) <= 8
+    series_products.clear()
+    assert relation_holds(fam.pres, rep)
+    assert series_products == []
+    rep = Representation(fam.ring, fam.rep.matrices)
+    series_products.clear()
+    l_function(fam.pres, rep)
+    assert sum(series_products) <= 44
 
 
 @pytest.mark.parametrize("key", ["rho1", "rho3"])
@@ -393,6 +420,96 @@ def test_representation_matches_word_matrix(name):
         fresh = Representation(rep.ring, rep.matrices)
         for w in order:
             assert fresh(w) == expected[w], (name, str(w))
+
+
+LETTERS = ((1, 1), (1, -1), (2, 1), (2, -1))
+
+
+@pytest.mark.parametrize("ring", [Zp(3, 4), Zp(11, 2), ZpT(5, 3, 4), ZpT(7, 2, 17)], ids=repr)
+def test_trace_coordinates_match_word_matrix(ring):
+    # oracle: each letter step in trace coordinates, on both sides, and
+    # every reduced word up to length 4 against products taken from
+    # scratch, on random det-1 pairs
+    rng = random.Random(ring.p * 100 + ring.N)
+    for _ in range(2):
+        mats = {1: random_sl2(rng, ring), 2: random_sl2(rng, ring)}
+        rep = Representation(ring, mats)
+        words = reduced_words(4)
+        rng.shuffle(words)
+        for w in words:
+            assert rep(w) == word_matrix(mats, w, ring.one, ring.zero), str(w)
+            if len(w) == 4:
+                continue
+            for x in LETTERS:
+                right = word_matrix(mats, w.letters + (x,), ring.one, ring.zero)
+                left = word_matrix(mats, (x,) + w.letters, ring.one, ring.zero)
+                assert rep.matrix(rep.right(rep.coords(w), x)) == right, (str(w), x)
+                assert rep.matrix(rep.left(x, rep.coords(w))) == left, (str(w), x)
+
+
+def _reducible_pairs(ring, rng):
+    """A = B for random det-1 A, and every pair of upper-triangular
+    matrices over the field ring with diagonals (u, 1/u) and (u, 1/u) or
+    (1/u, u)."""
+    pairs = []
+    for _ in range(10):
+        a = random_sl2(rng, ring)
+        pairs.append((a, a))
+    p = ring.p
+    for u in range(1, p):
+        v = pow(u, -1, p)
+        for s in range(p):
+            for t in range(p):
+                g1 = Mat2(ring(u), ring(s), ring.zero, ring(v))
+                pairs.append((g1, Mat2(ring(u), ring(t), ring.zero, ring(v))))
+                pairs.append((g1, Mat2(ring(v), ring(t), ring.zero, ring(u))))
+    return pairs
+
+
+@pytest.mark.parametrize("m, n", [(3, 1), (5, 3), (7, 3)])
+def test_relation_holds_on_reducible_pairs(m, n):
+    # I, A, B, AB span less than all 2 x 2 matrices here, so w g1 and g2 w
+    # can have different trace coordinates and one matrix; relation_holds
+    # then decides on the matrix of the difference
+    pres = two_bridge(m, n)
+    lhs, rhs = pres.w * gen(1), gen(2) * pres.w
+    rng = random.Random(m * 10 + n)
+    fallback = 0
+    for ring in (Zp(7, 1), Zp(13, 1)):
+        for g1, g2 in _reducible_pairs(ring, rng):
+            mats = {1: g1, 2: g2}
+            want = word_matrix(mats, lhs, ring.one, ring.zero) == word_matrix(mats, rhs, ring.one, ring.zero)
+            rep = Representation(ring, mats)
+            assert relation_holds(pres, rep) == want
+            fallback += want and rep.coords(lhs) != rep.coords(rhs)
+    series = ZpT(5, 3, 4)
+    for _ in range(4):
+        a = random_sl2(rng, series)
+        assert relation_holds(pres, Representation(series, {1: a, 2: a}))
+    assert fallback > 0
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_relation_holds_rejects_a_tampered_pair(key):
+    # g2 conjugated alone by [[1, T^D], [0, 1]]: det 1, both traces and the
+    # residue kept, and the relation broken; and g2 replaced by a random
+    # det-1 matrix over the residue field
+    fam = FAMILIES[key]
+    g1, g2 = fam.rep.matrices[1], fam.rep.matrices[2]
+    tD = fam.ring([0] * fam.ring.D + [1])
+    conj = Mat2(fam.ring.one, tD, fam.ring.zero, fam.ring.one)
+    bad = conj * g2 * conj.sl2_inverse()
+    assert bad.trace() == g2.trace() and (bad.det() - 1).is_zero
+    for w in (fam.pres.w * gen(1), gen(2) * fam.pres.w):
+        assert word_matrix({1: g1, 2: bad}, w, fam.ring.one, fam.ring.zero) != fam.rep(w)
+    assert not relation_holds(fam.pres, Representation(fam.ring, {1: g1, 2: bad}))
+    res = fam.rep.residual()
+    field = res.ring
+    other = random_sl2(random.Random(fam.p), field)
+    mats = {1: res.matrices[1], 2: other}
+    lhs, rhs = fam.pres.w * gen(1), gen(2) * fam.pres.w
+    assert word_matrix(mats, lhs, field.one, field.zero) != word_matrix(mats, rhs, field.one, field.zero)
+    assert not relation_holds(fam.pres, Representation(field, mats))
 
 
 def test_representation_starts_from_its_letter_images(monkeypatch):

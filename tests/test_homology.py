@@ -125,9 +125,13 @@ def test_boundary2_rejects_non_representation():
     assert chain_contraction(pres, bad) == bad(pres.w * gen(1)) - bad(gen(2) * pres.w)
 
 
-def test_boundary2_costs_two_products(monkeypatch):
-    # a built family has checked the relation, which cached rho of every
-    # prefix of w: boundary2 multiplies I - rho(g2) by rho(dw/dg_i), i = 1, 2
+def test_boundary2_product_budget(monkeypatch, series_products):
+    # a built family has checked the relation, which cached the trace
+    # coordinates of every prefix of w, so the check inside boundary2
+    # costs nothing. The Fox images then cost, per image, one left
+    # multiplication by g2 (2 dense products) and one conversion to a
+    # matrix (8), and once the basis matrix AB (4; the one Mat2 product).
+    # A second call reads the images kept on the representation.
     calls = []
     mul = Mat2.__mul__
 
@@ -136,11 +140,18 @@ def test_boundary2_costs_two_products(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(Mat2, "__mul__", counting)
-    for key in KEYS:
+    for key, dense in (("rho1", 2), ("rho2", 20), ("rho3", 24), ("rho4", 24)):
         fam = build_family(key)
         calls.clear()
+        series_products.clear()
         boundary2(fam.pres, fam.rep)
-        assert len(calls) == 2
+        assert len(calls) == 1, key
+        assert sum(series_products) == dense, key
+        calls.clear()
+        series_products.clear()
+        assert relation_holds(fam.pres, fam.rep)
+        boundary2(fam.pres, fam.rep)
+        assert calls == [] and series_products == [], key
 
 
 # --- twisted Alexander -----------------------------------------------------

@@ -266,6 +266,51 @@ def test_series_mul_on_both_sides_of_the_kronecker_bounds(p, N, D, words):
         assert (R(b) * R(a)).coeffs == expected
 
 
+def _sparse_product_rings():
+    """(D, N, words) for p = 11: D in {0, 1, 8, 16, 96} and, for each D,
+    an N at every slot width the ring can choose: 0 (schoolbook), and at
+    D >= _KRONECKER_MIN_D the largest N whose slot fits in one and in two
+    64-bit words."""
+    out = []
+    for D in (0, 1, 8, 16, 96):
+        slot = lambda n: 2 * (11**n).bit_length() + (D + 1).bit_length()
+        one = max(n for n in range(1, 40) if slot(n) <= 64)
+        two = max(n for n in range(1, 40) if slot(n) <= 128)
+        if D < _KRONECKER_MIN_D:
+            out += [(D, one, 0), (D, two + 1, 0)]
+        else:
+            out += [(D, one, 1), (D, two, 2), (D, two + 1, 0)]
+    return out
+
+
+@pytest.mark.parametrize("D, N, words", _sparse_product_rings())
+def test_sparse_operand_products_match_schoolbook(D, N, words):
+    # an operand with at most two nonzero coefficients takes one
+    # shift-and-scale pass, on either side and on both; the schoolbook
+    # convolution of tests/oracles.py decides the coefficients
+    R = ZpT(11, N, D)
+    assert R.slot == words
+    m = R.base.modulus
+    rng = random.Random(D * 1000 + N)
+
+    def sparse(k):
+        cs = [0] * (D + 1)
+        for i in rng.sample(range(D + 1), min(k, D + 1)):
+            cs[i] = rng.choice([1, m - 1, rng.randrange(1, m)])
+        return cs
+
+    def dense():
+        return [rng.randrange(m) for _ in range(D + 1)]
+
+    edges = [[0] * D + [m - 1], [m - 1] + [0] * (D - 1) + [1] if D else [1], [0] * (D + 1)]
+    for _ in range(12):
+        for a in [sparse(0), sparse(1), sparse(2), *edges]:
+            for b in (dense(), sparse(1), sparse(2), [m - 1] * (D + 1)):
+                expected = tuple(series_product(a, b, m, D))
+                assert (R(a) * R(b)).coeffs == expected, (a, b)
+                assert (R(b) * R(a)).coeffs == expected, (a, b)
+
+
 def test_series_inversion():
     R = ZpT(7, 4, 6)
     rng = random.Random(5)
@@ -442,6 +487,35 @@ def test_doubling_newton_matches_the_full_precision_loop(monkeypatch, p, N, D):
     monkeypatch.setattr(padics, "_newton", _full_precision_newton)
     want = [fn(*args) for fn, args in cases]
     assert [(g.ring, str(g)) for g in got] == [(w.ring, str(w)) for w in want]
+
+
+def test_newton_confirms_the_root_without_an_inversion(monkeypatch):
+    # the rho3 lift at (97, 96): after the doubling rings one full-precision
+    # step reaches the root, and the next finds a zero residual and stops,
+    # so each hensel_root and sqrt_positive inverts once at full precision
+    from twobridge.padics import PadicInt
+
+    inverted = []
+    for cls in (PadicInt, PadicSeries):
+        monkeypatch.setattr(cls, "invert_unit", lambda self, f=cls.invert_unit: inverted.append(self.ring) or f(self))
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            start = len(inverted)
+            out = fn(*args)
+            calls.append((fn.__name__, out.ring, sum(r is out.ring for r in inverted[start:])))
+            return out
+
+        return wrapper
+
+    for name in ("hensel_root", "sqrt_positive"):
+        monkeypatch.setattr(deformations, name, counting(getattr(padics, name)))
+    deformations.build_rho3(97, 96)
+    F, R = Zp(11, 97), ZpT(11, 97, 96)
+    assert sorted(calls, key=str) == sorted(
+        [("sqrt_positive", F, 1), ("hensel_root", F, 1), ("hensel_root", R, 1), ("sqrt_positive", R, 1)], key=str
+    )
 
 
 def test_to_ring_truncates_and_lifts():

@@ -190,3 +190,23 @@ def test_verify_example_computes_the_riley_polynomial_once(monkeypatch):
         assert report.ok
         assert len(calls) == 1, example_id
         assert report.escalated.residual.pres is report.base.residual.pres
+
+
+def test_verify_example_builds_the_fox_images_once_per_family(monkeypatch):
+    # chain_contraction and l_function (through boundary2) both read the
+    # Fox images of a run's family; the representation keeps them, so
+    # each of the two families pays for them once
+    built = []
+    compute = homology._fox_images
+
+    def counting(pres, rep):
+        built.append(rep)
+        return compute(pres, rep)
+
+    monkeypatch.setattr(homology, "_fox_images", counting)
+    for example_id in EXAMPLE_IDS:
+        built.clear()
+        report = verify_example(example_id)
+        assert report.ok
+        assert len(built) == 2 and built[0] is not built[1], example_id
+        assert {(rep.ring.N, rep.ring.D) for rep in built} == {(8, 8), (12, 12)}, example_id
