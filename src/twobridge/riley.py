@@ -100,15 +100,19 @@ class BivariatePoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return BivariatePoly({k: c * other for k, c in self.terms.items()})
+            return BivariatePoly._wrap({k: c * other for k, c in self.terms.items()} if other else {})
         if not isinstance(other, BivariatePoly):
             return NotImplemented
         out: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BivariatePoly(out)
+                c = out.get(k, 0) + c1 * c2
+                if c:
+                    out[k] = c
+                else:
+                    del out[k]
+        return BivariatePoly._wrap(out)
 
     __rmul__ = __mul__
 
@@ -302,49 +306,100 @@ class CharacterPoint:
         }
 
 
-def _mulmod(a: dict[int, int], b: dict[int, int], f: dict[int, int], p: int) -> dict[int, int]:
-    """a * b mod f over F_p, on exponent -> residue dicts."""
-    prod: dict[int, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
-    return _poly_divmod({e: c % p for e, c in prod.items() if c % p}, f, p)[1]
+class _Residue:
+    """An element of F_p[y]/(h) for a monic h of degree n >= 2: its n
+    coefficients, constant first. mod is (p, low), low the n coefficients
+    of h below y^n, shared by every element of the ring."""
+
+    __slots__ = ("c", "mod")
+
+    def __init__(self, c: list[int], mod: tuple[int, list[int]]):
+        self.c = c
+        self.mod = mod
+
+    def __mul__(self, other: "_Residue") -> "_Residue":
+        p, low = self.mod
+        n = len(low)
+        prod = [0] * (2 * n - 1)
+        for i, a in enumerate(self.c):
+            if a:
+                for k, b in enumerate(other.c, i):
+                    prod[k] += a * b
+        # fold from the top down: y^k = -y^(k-n) * (low . (1, y, ..., y^(n-1)))
+        for k in range(2 * n - 2, n - 1, -1):
+            a = prod[k] % p
+            if a:
+                for j, b in enumerate(low, k - n):
+                    prod[j] -= a * b
+        return _Residue([a % p for a in prod[:n]], self.mod)
 
 
-def _powmod(base: dict[int, int], k: int, f: dict[int, int], p: int) -> dict[int, int]:
-    """base^k mod f over F_p by square-and-multiply, for k >= 1."""
-    out = _poly_divmod(base, f, p)[1]
-    for bit in bin(k)[3:]:
-        out = _mulmod(out, out, f, p)
-        if bit == "1":
-            out = _mulmod(out, base, f, p)
-    return out
+def _residue_power(a: int, k: int, h: dict[int, int], p: int) -> dict[int, int]:
+    """(y + a)^k mod h over F_p, for h monic of degree >= 2, as an
+    exponent -> residue dict."""
+    n = max(h)
+    mod = (p, [h.get(e, 0) for e in range(n)])
+    base = _Residue([a % p, 1] + [0] * (n - 2), mod)
+    r = power(base, k, _Residue([1] + [0] * (n - 1), mod)).c
+    return {e: c for e, c in enumerate(r) if c}
+
+
+def _gcd_minus(h: dict[int, int], w: dict[int, int], c: int, p: int) -> dict[int, int]:
+    """The monic gcd over F_p of h != 0 and w - c."""
+    w = dict(w)
+    w[0] = (w.get(0, 0) - c) % p
+    return _poly_gcd_field(h, {e: v for e, v in w.items() if v}, p)
+
+
+def _small_roots(h: dict[int, int], p: int) -> list[int]:
+    """The distinct roots in F_p of a monic h of degree <= 2: none, -h_0,
+    or the quadratic formula (-b +- sqrt(b^2 - 4c)) / 2."""
+    top = max(h)
+    if top == 0:
+        return []
+    if top == 1:
+        return [-h.get(0, 0) % p]
+    b, c = h.get(1, 0), h.get(0, 0)
+    s = sqrt_mod_prime(b * b - 4 * c, p)
+    if s is None:
+        return []
+    half = (p + 1) // 2  # 1/2 in F_p
+    return sorted({(-b + s) * half % p, (-b - s) * half % p})
 
 
 def _roots_modp(f: dict[int, int], p: int) -> list[int]:
-    """The distinct roots in F_p of a nonzero f over F_p, p an odd prime.
+    """The distinct roots in F_p of a nonzero f over F_p (exponent ->
+    nonzero residue), p an odd prime, sorted.
 
-    g = gcd(f, y^p - y) is the product of (y - r) over those roots. Each
-    factor of g of degree d > 1 is split by gcd with (y + a)^((p-1)/2) - 1
-    for a = 0, 1, 2, ...: that gcd collects the roots r with r + a a
-    nonzero square. For two roots r1 != r2 the ratio (r1 + a)/(r2 + a)
-    runs over every non-residue as a runs over F_p, so some a < p splits.
+    A power of y dividing f gives the root 0 and is divided out; f is
+    then made monic, and degrees up to 2 are answered by _small_roots.
+    Otherwise r = y^((p-1)/2) mod f is computed once: since
+    y^p - y = y (y^((p-1)/2) - 1) (y^((p-1)/2) + 1) (Cantor-Zassenhaus),
+    gcd(f, r - 1) is the product of (y - s) over the nonzero square
+    roots s of f and gcd(f, r + 1) over the non-square ones. Each factor
+    of degree >= 3 is split by gcd with (y + a)^((p-1)/2) - 1 for
+    a = 1, 2, ...: the roots s with s + a a nonzero square. Two roots
+    s1 != s2 of one factor have s1/s2 a square, and (s1 + a)/(s2 + a)
+    runs over every non-residue as a runs over F_p minus {0, -s1, -s2},
+    so some a < p splits.
     """
-    if max(f) == 0:
-        return []
-    yp = _powmod({1: 1}, p, f, p)
-    yp[1] = (yp.get(1, 0) - 1) % p
-    g = _poly_gcd_field(f, {e: c for e, c in yp.items() if c}, p)
-    roots, todo = [], [g] if max(g) else []
+    low = min(f)
+    roots = [0] if low else []
+    top = max(f) - low
+    inv = pow(f[top + low], -1, p)
+    f = {e - low: c * inv % p for e, c in f.items()}
+    if top <= 2:
+        return sorted(roots + _small_roots(f, p))
+    half = (p - 1) // 2
+    r = _residue_power(0, half, f, p)
+    todo = [_gcd_minus(f, r, 1, p), _gcd_minus(f, r, -1, p)]
     while todo:
         h = todo.pop()
-        if max(h) == 1:
-            roots.append(-h.get(0, 0) % p)
+        if max(h) <= 2:
+            roots += _small_roots(h, p)
             continue
-        for a in range(p):
-            w = _powmod({0: a, 1: 1} if a else {1: 1}, (p - 1) // 2, h, p)
-            w[0] = (w.get(0, 0) - 1) % p
-            s = _poly_gcd_field(h, {e: c for e, c in w.items() if c}, p)
+        for a in range(1, p):
+            s = _gcd_minus(h, _residue_power(a, half, h, p), 1, p)
             if 0 < max(s) < max(h):
                 todo += [s, _poly_divmod(h, s, p)[0]]
                 break
@@ -355,11 +410,13 @@ def char_points(pres: TwoBridgePresentation, p: int) -> list[CharacterPoint]:
     """All F_p-points of the character scheme (y - x^2 + 2) * Psi = 0,
     in (x, y) order.
 
-    For each x0, Psi(x0, y) is reduced once to a polynomial in y over
-    F_p and its roots are found by _roots_modp; when it vanishes
-    identically every y is a point. The abelian line contributes
-    y = x0^2 - 2. A point is flagged absolutely irreducible iff Psi
-    vanishes and the abelian-line factor does not.
+    Psi's coefficients are reduced mod p once. For each x0, Psi(x0, y)
+    is a polynomial in y over F_p whose roots _roots_modp finds with one
+    half-power y^((p-1)/2) mod Psi(x0, y) and two gcds, so the cost is
+    about linear in p; when Psi(x0, y) vanishes identically every y is a
+    point. The abelian line contributes y = x0^2 - 2. A point is flagged
+    absolutely irreducible iff Psi vanishes and the abelian-line factor
+    does not.
 
     p must be an odd prime <= 10^4. The guard's message still speaks of
     an exhaustive scan; it is part of the CLI's pinned output.
@@ -369,7 +426,8 @@ def char_points(pres: TwoBridgePresentation, p: int) -> list[CharacterPoint]:
         raise ValueError("exhaustive scan guarded at p <= 10^4")
     columns: dict[int, list[tuple[int, int]]] = {}
     for (i, j), c in pres.riley.psi.terms.items():
-        columns.setdefault(j, []).append((i, c))
+        if c % p:
+            columns.setdefault(j, []).append((i, c % p))
     points = []
     for x0 in range(p):
         line_base = (x0 * x0 - 2) % p  # abelian line: y = x^2 - 2

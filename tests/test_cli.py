@@ -113,6 +113,11 @@ GOLDEN_JSON = [
     ("char-points --m 9 --n 5 --p 241", 0, "7b14a1e475cf543eeea3c9cee441f9e80e56132ca883b072fed12f1c7a36eb1f"),
     ("char-points --m 11 --n 5 --p 281", 0, "64dbbdc63c130eb3c49946a505211e0f28280eb4a7c52b92eeb0f1a15bf0affa"),
     ("char-points --m 7 --n 3 --p 1009", 0, "34430a79d24cd374ec444280453e5085ba38b552046150f4b404d1b7e1ad728c"),
+    # y-degree 15, so root factors of degree >= 3 get split; a large knot
+    # at a small prime; and the 10^4 cap
+    ("char-points --m 31 --n -9 --p 101", 0, "89b157d5b989347bd1ffa9116db108caded8539397dbfa68fff92cb0edbd2593"),
+    ("char-points --m 63 --n -19 --p 53", 0, "81572846b79fba0d224e9d5b247320a158dec21f21222270ebce1983539e0458"),
+    ("char-points --m 5 --n 3 --p 9973", 0, "f2e36e0a691d92d4f5604ec8ccb80f03b61d09c19c8ab323b8aea7e402e71bd5"),
     # away from the default (8, 8): long Newton runs, series specialization,
     # division over Z/p^16, and an indeterminate run (exit 1, empty stdout)
     ("lift --example rho3 --prec 30 --deg 30", 0, "6e8cf76c8bc3f984f6b993b1046ebbc0c55753b1154b2601ccf89ac587da3dfb"),

@@ -15,11 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import bivariate_product, psi_scan, rep_scan, substitute_by_powers
 from twobridge.deformations import Representation
+from twobridge.laurent import _poly_divmod
 from twobridge.matrices import Mat2, word_matrix
 from twobridge.padics import Zp
 from twobridge.presentations import two_bridge
 from twobridge.riley import (
     BivariatePoly,
+    _residue_power,
     _roots_modp,
     _symmetrize,
     build_modp_rep,
@@ -175,7 +177,10 @@ def test_char_points_agree_with_rep_scan(mnp):
 @pytest.mark.parametrize("p", [3, 13, 101, 283, 397])
 @pytest.mark.parametrize("mn", CHAR_KNOTS)
 def test_char_points_agree_with_psi_scan(mn, p):
-    pres = two_bridge(*mn)
+    _assert_char_points_match_psi_scan(two_bridge(*mn), p)
+
+
+def _assert_char_points_match_psi_scan(pres, p):
     pts = char_points(pres, p)
     got = {(q.x, q.y): (q.on_abelian_line, q.absolutely_irreducible) for q in pts}
     assert got == psi_scan(pres.riley.psi.terms, p)
@@ -227,6 +232,66 @@ def test_roots_modp_matches_brute_force(fp):
     f, p = fp
     brute = [y for y in range(p) if sum(c * pow(y, e, p) for e, c in f.items()) % p == 0]
     assert _roots_modp(f, p) == brute
+
+
+def _product_modp(factors, p, lead=1):
+    f = {0: lead % p}
+    for g in factors:
+        f = _poly_mul_modp(f, g, p)
+    return f
+
+
+def _lin(r):
+    return {0: -r, 1: 1}
+
+
+# each case drives one branch of _roots_modp: (p, lead, factors, roots)
+ROOT_CASES = {
+    # g+ = (y-1)(y-4)(y-9)(y-16): degree 4, split by (y + a)^50 - 1
+    "four-square-roots": (101, 1, [_lin(1), _lin(4), _lin(9), _lin(16), {0: -2, 2: 1}], [1, 4, 9, 16]),
+    # g- = (y-2)(y-3): the quadratic formula; g+ = y - 25
+    "two-nonsquare-roots": (101, 1, [_lin(2), _lin(3), _lin(25), {0: -7, 2: 1}], [2, 3, 25]),
+    # y^3 divided out, then (y-1)^2 of degree 2: a zero discriminant
+    "y-cubed-repeated-root": (101, 1, [{1: 1}] * 3 + [_lin(1)] * 2, [0, 1]),
+    # y^3 divided out, then the half-power on a repeated root
+    "y-cubed-repeated-root-and-more": (101, 1, [{1: 1}] * 3 + [_lin(1)] * 2 + [_lin(2), _lin(9)], [0, 1, 2, 9]),
+    # leading coefficient 3, degree 8 > p: every element of F_5
+    "non-monic-degree-above-p": (
+        5, 3, [{1: 1}, _lin(1), _lin(1), _lin(2), _lin(3), _lin(4), {0: 2, 2: 1}], [0, 1, 2, 3, 4]
+    ),
+    # leading coefficient 2, degree 8 > p, two irreducible quadratics
+    "non-monic-two-irreducible-quadratics": (5, 2, [_lin(1)] * 3 + [_lin(4), {0: 2, 2: 1}, {0: 3, 2: 1}], [1, 4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+def test_roots_modp_on_constructed_polynomials(case):
+    p, lead, factors, roots = ROOT_CASES[case]
+    f = _product_modp(factors, p, lead)
+    assert max(f) == sum(max(g) for g in factors)
+    brute = [y for y in range(p) if sum(c * pow(y, e, p) for e, c in f.items()) % p == 0]
+    assert _roots_modp(f, p) == brute == roots
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([3, 5, 101, 277]),
+    st.lists(st.integers(0, 10**6), min_size=2, max_size=8),
+    st.integers(0, 10**6),
+    st.integers(0, 60),
+)
+def test_residue_power_matches_divmod(p, low, a, k):
+    # h monic of degree len(low) >= 2; (y + a)^k expanded, then reduced once
+    h = {e: c % p for e, c in enumerate(low) if c % p}
+    h[len(low)] = 1
+    full = _product_modp([{0: a % p, 1: 1}] * k, p)
+    assert _residue_power(a, k, h, p) == _poly_divmod(full, h, p)[1]
+
+
+@pytest.mark.parametrize("p", [13, 101])
+def test_char_points_b31_agree_with_psi_scan(p):
+    # y-degree 15: root factors of degree >= 3 get split
+    _assert_char_points_match_psi_scan(two_bridge(31, -9), p)
 
 
 @pytest.mark.parametrize("p", [3, 7, 13])
