@@ -265,11 +265,7 @@ def _sl2_family(key, pres, x, b, char_point, expected_residual, params, negate_o
     upper-right entry b = +-1, as in the module docstring; params(x, c)
     names the builder's own parameters, and q joins them."""
     ring = x.ring
-
-    def lift(xv, seed):  # the root of Psi(xv, y) that is seed mod the maximal ideal
-        return hensel_root(_psi_at_x(pres, xv), seed)
-
-    y = lift(x, ring.constant(lift(x.constant_term(), ring.base(char_point[1]))))
+    y = hensel_root(_psi_at_x(pres, x), ring.constant(char_point[1]))
     c = (x * x - 2 - y if negate_off_diagonal else y - 2) * ring.base(4 * b).invert_unit()
     q = sqrt_positive(x * x - 4 - c * (4 * b))
     half = ring.base(2).invert_unit()

@@ -249,17 +249,21 @@ def det_minus_identity(rep, w: FreeWord) -> PadicInt:
     return _minus_identity(rep, w).det()
 
 
-def torsion_witness(rep, max_len: int = 3) -> tuple[FreeWord | None, PadicInt | None]:
+_TORSION_WORD_LEN = 3
+
+
+def torsion_witness(rep) -> tuple[FreeWord | None, PadicInt | None]:
     """The first reduced word g (shortest first) with det(rho(g) - I) != 0,
-    and that determinant; (None, None) when every word up to max_len gives 0."""
-    for w in reduced_words(max_len, include_identity=False):
+    and that determinant; (None, None) when every word up to length
+    _TORSION_WORD_LEN gives 0."""
+    for w in reduced_words(_TORSION_WORD_LEN, include_identity=False):
         d = det_minus_identity(rep, w)
         if not d.is_zero:
             return w, d
     return None, None
 
 
-def torsion_criterion(pres: TwoBridgePresentation, rep, max_len: int = 3) -> TorsionReport:
+def torsion_criterion(pres: TwoBridgePresentation, rep) -> TorsionReport:
     """Search for g with det(rho(g) - I) != 0, and evaluate Delta(1).
 
     Both conditions nonzero certify that the first twisted homology of
@@ -269,7 +273,7 @@ def torsion_criterion(pres: TwoBridgePresentation, rep, max_len: int = 3) -> Tor
         delta1 = twisted_alexander(pres, rep).value_at_one()
     except (DegenerateRepresentation, Indeterminate):
         delta1 = None
-    return TorsionReport.from_results(torsion_witness(rep, max_len), delta1)
+    return TorsionReport.from_results(torsion_witness(rep), delta1)
 
 
 # --- Fitting ideals -------------------------------------------------------

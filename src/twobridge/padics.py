@@ -20,14 +20,15 @@ coefficients, is packed into slots of one or two 64-bit words, at least
 into the next, and the low D+1 slots are read back.
 
 Square roots follow a fixed branch: sqrt(a) is the root whose reduction
-mod (p, T) lies in {1, ..., (p-1)/2}. Newton iteration is used for both
-square roots and Hensel lifting of simple polynomial roots. Its first
-steps run at doubling precision in smaller rings (Brent and Kung 1978):
-Zp(p, n) for n = 2, 4, 8, ... < N, and ZpT(p, N, d) for d = 1, 3, 7, ...
-< D, each step doubling the (p, T)-adic precision of the iterate. The
-stop-when-unchanged loop then finishes at full precision. A step returns
-its iterate unchanged once the residual is zero, so the step that
-confirms the root costs one residual and no inversion.
+mod (p, T) lies in {1, ..., (p-1)/2}, lifted as the root of y^2 - a.
+hensel_root is the one Newton lift: s -> s - f(s)/f'(s) from a root mod
+(p, T). A series root is lifted over Z_p first, from its residue, and
+then in T. The first steps run at doubling precision in smaller rings
+(Brent and Kung 1978): Zp(p, n) for n = 2, 4, 8, ... < N, and then
+ZpT(p, N, d) for d = 1, 3, 7, ... < D, each step doubling the (p, T)-adic
+precision of the iterate. The loop then finishes at full precision and
+returns as soon as f(s) = 0, so the step that confirms the root costs
+one residual and no inversion.
 """
 
 from __future__ import annotations
@@ -549,35 +550,13 @@ def _doubling_rings(ring) -> list:
     return [ZpT(ring.p, ring.N, (1 << k) - 1) for k in range(1, ring.D.bit_length())]
 
 
-def _newton(seed, step, name: str):
-    """Iterate s -> step(s) from seed until it stops changing.
-
-    The seed is right mod the maximal ideal. The first steps run in the
-    smaller rings of _doubling_rings, each on the previous iterate mapped
-    into the next ring, so step must map its own data to s.ring. Each
-    Newton step doubles the (p, T)-adic precision, so the iterate lifted
-    to full precision needs few more steps. A run still moving after
-    _newton_cap steps there never settles; that raises ArithmeticError
-    naming the caller.
-    """
-    ring, s = seed.ring, seed
-    for small in _doubling_rings(ring):
-        s = step(s.to_ring(small))
-    s = s.to_ring(ring)
-    for _ in range(_newton_cap(_modulus_exponent(s))):
-        nxt = step(s)
-        if nxt == s:
-            return s
-        s = nxt
-    raise ArithmeticError("%s Newton iteration failed to stabilize" % name)
-
-
 def sqrt_positive(a):
     """Positive-branch square root of a unit, for PadicInt or PadicSeries.
 
-    The branch is fixed by sqrt(a) mod (p, T) in {1, ..., (p-1)/2}.
-    Raises NonUnit when a has positive valuation, NoSquareRoot when the
-    residue is not a quadratic residue mod p.
+    The branch is fixed by sqrt(a) mod (p, T) in {1, ..., (p-1)/2}: the
+    root of y^2 - a that hensel_root lifts from that residue. Raises
+    NonUnit when a has positive valuation, NoSquareRoot when the residue
+    is not a quadratic residue mod p.
     """
     if not a.is_unit:
         raise NonUnit("sqrt_positive requires a unit")
@@ -586,22 +565,7 @@ def sqrt_positive(a):
     seed_res = sqrt_mod_prime(r0, p)
     if seed_res is None:
         raise NoSquareRoot("%d is not a quadratic residue mod %d" % (r0, p))
-    if isinstance(a, PadicInt):
-        s = a.ring(seed_res)
-        half = (a.ring.modulus + 1) // 2  # the inverse of 2 mod p^n for every n <= N
-    else:
-        c0 = sqrt_positive(a.constant_term())
-        s = a.ring.constant(c0)
-        half = (a.ring.base.modulus + 1) // 2
-
-    def step(s):  # s - (s^2 - a) / (2 s), and s itself once s^2 = a
-        r = s * s - a.to_ring(s.ring)
-        return s if r.is_zero else s - r * s.invert_unit() * half
-
-    s = _newton(s, step, "sqrt")
-    if not (s * s == a):
-        raise ArithmeticError("sqrt Newton stabilized at a non-root")
-    return s
+    return hensel_root([-a, 0, 1], a.ring.zero + seed_res)
 
 
 def poly_eval(coeffs: Sequence, s):
@@ -625,27 +589,28 @@ def hensel_root(coeffs: Sequence, seed):
     elements of the working ring (PadicInt or PadicSeries). Requires
     f(seed) = 0 and f'(seed) a unit mod the maximal ideal; raises
     BadSeed / SingularRoot otherwise. The returned root r satisfies
-    f(r) = 0 at full precision and r = seed mod (p, T).
+    f(r) = 0 at full precision and r = seed mod (p, T); of a series seed
+    only that residue is read.
     """
-    coeffs = [seed.ring.zero + c for c in coeffs]
-    fs = poly_eval(coeffs, seed)
-    if fs.residue() != 0:
-        raise BadSeed("f(seed) is not 0 mod the maximal ideal")
+    ring = seed.ring
+    coeffs = [ring.zero + c for c in coeffs]
     dcoeffs = poly_derivative(coeffs)
-    dfs = poly_eval(dcoeffs, seed)
-    if not dfs.is_unit:
-        raise SingularRoot("f'(seed) is not a unit mod the maximal ideal")
-
-    def step(s):  # s - f(s) / f'(s), and s itself once f(s) = 0
-        fs = poly_eval([c.to_ring(s.ring) for c in coeffs], s)
-        if fs.is_zero:
+    if isinstance(seed, PadicSeries):  # the root over Z_p first; the seed checks run there
+        s = ring.constant(hensel_root([c.constant_term() for c in coeffs], seed.constant_term()))
+    else:
+        if poly_eval(coeffs, seed).residue() != 0:
+            raise BadSeed("f(seed) is not 0 mod the maximal ideal")
+        if not poly_eval(dcoeffs, seed).is_unit:
+            raise SingularRoot("f'(seed) is not a unit mod the maximal ideal")
+        s = seed
+    for r in _doubling_rings(ring) + [ring] * _newton_cap(_modulus_exponent(s)):
+        s = s.to_ring(r)
+        fs = poly_eval([c.to_ring(r) for c in coeffs], s)
+        if not fs.is_zero:
+            s = s - fs * poly_eval([c.to_ring(r) for c in dcoeffs], s).invert_unit()
+        elif r is ring:
             return s
-        return s - fs * poly_eval([c.to_ring(s.ring) for c in dcoeffs], s).invert_unit()
-
-    s = _newton(seed, step, "Hensel")
-    if not poly_eval(coeffs, s).is_zero:
-        raise ArithmeticError("Hensel iteration stabilized at a non-root")
-    return s
+    raise ArithmeticError("Hensel Newton iteration failed to stabilize")
 
 
 # --- divisor normal forms ----------------------------------------------

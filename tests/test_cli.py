@@ -131,6 +131,12 @@ GOLDEN_JSON = [
     ("verify-example --id 4.5.3a --prec 16 --deg 16", 0, "e790186040b253272402d253feaa53385a47749fec05d62669a564f52032ed58"),
     ("verify-example --id 4.5.3b --prec 16 --deg 16", 0, "103d5ac0eb510655afc24b16f4055455fdb909fe06eccfaf78561e07ddbcf32e"),
     ("verify-example --id 4.5.3b --prec 1 --deg 8", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # Newton lifts where the Z_p stage carries most digits (N >> D and
+    # N > D), at D = 96, and with no doubling ring at all (N = 1, D = 0)
+    ("lift --example rho3 --prec 192 --deg 12", 0, "5eecdd19f5c5b65d5f6ec5531b22a71620c3f3645a3cb2ee46acb6dafb7365b7"),
+    ("lift --example rho4 --prec 97 --deg 96", 0, "4b47576590b23909eced75b788a76a554477659dbeeb2cb9348c998150c48f20"),
+    ("lift --example rho1 --prec 40 --deg 3", 0, "eb1a99646350d79d756ee3b9ef78876116ec5bd54035f1eb787594361e013940"),
+    ("lift --example rho2 --prec 1 --deg 0", 0, "5010a0f8d3d12226d7719ec87135ef471307c2566fe37988ae7f0f26bc936591"),
 ]
 
 

@@ -21,7 +21,6 @@ from twobridge.padics import (
     SingularRoot,
     Zp,
     ZpT,
-    _newton,
     gcd_normal_form,
     hensel_root,
     is_prime,
@@ -438,28 +437,20 @@ def test_power_matches_repeated_product(k):
         assert x**k == want
 
 
-def test_newton_stops_at_the_fixed_point():
+def test_newton_stops_at_the_fixed_point(monkeypatch):
+    # a seed that is already a root comes back unchanged, with no step taken
     R = Zp(5, 8)
-    assert _newton(R(0), lambda s: s + 1 if s.r < 3 else s, "test") == R(3)
+    monkeypatch.setattr(padics.PadicInt, "invert_unit", lambda self: pytest.fail("inverted"))
+    assert hensel_root([12, -7, 1], R(3)) == R(3)
 
 
 @pytest.mark.parametrize("seed", [Zp(5, 8)(1), ZpT(5, 4, 4).one])
-@pytest.mark.parametrize("name", ["sqrt", "Hensel"])
-def test_newton_raises_when_the_step_never_settles(seed, name):
+@pytest.mark.parametrize("name", ["Hensel"])
+def test_newton_raises_when_the_step_never_settles(monkeypatch, seed, name):
+    # y^2 - (seed + 5): the seed is a root mod the maximal ideal, not yet mod p^2
+    monkeypatch.setattr(padics, "_newton_cap", lambda exponent: 0)
     with pytest.raises(ArithmeticError, match="^%s Newton iteration failed to stabilize$" % name):
-        _newton(seed, lambda s: s + 1, name)
-
-
-def _full_precision_newton(seed, step, name):
-    # the Newton driver without the doubling schedule: every step at the
-    # seed's own precision until the iterate stops changing
-    s = seed
-    for _ in range(padics._newton_cap(padics._modulus_exponent(seed))):
-        nxt = step(s)
-        if nxt == s:
-            return s
-        s = nxt
-    raise ArithmeticError("%s Newton iteration failed to stabilize" % name)
+        hensel_root([-(seed + 5), 0, 1], seed)
 
 
 # N >> D, D >> N and N ~ D, and the scalar rings at the same N
@@ -484,7 +475,8 @@ def test_doubling_newton_matches_the_full_precision_loop(monkeypatch, p, N, D):
         x0, v = F(rng.randrange(F.modulus)), F(rng.randrange(1, p))
         cases.append((hensel_root, ([x0 * (x0 + v), -(x0 + x0 + v), 1], F(x0.residue()))))
     got = [fn(*args) for fn, args in cases]
-    monkeypatch.setattr(padics, "_newton", _full_precision_newton)
+    # every step at the full precision, from the residue alone
+    monkeypatch.setattr(padics, "_doubling_rings", lambda ring: [])
     want = [fn(*args) for fn, args in cases]
     assert [(g.ring, str(g)) for g in got] == [(w.ring, str(w)) for w in want]
 
@@ -492,7 +484,7 @@ def test_doubling_newton_matches_the_full_precision_loop(monkeypatch, p, N, D):
 def test_newton_confirms_the_root_without_an_inversion(monkeypatch):
     # the rho3 lift at (97, 96): after the doubling rings one full-precision
     # step reaches the root, and the next finds a zero residual and stops,
-    # so each hensel_root and sqrt_positive inverts once at full precision
+    # so each lift the builder makes inverts once at full precision
     from twobridge.padics import PadicInt
 
     inverted = []
@@ -514,7 +506,7 @@ def test_newton_confirms_the_root_without_an_inversion(monkeypatch):
     deformations.build_rho3(97, 96)
     F, R = Zp(11, 97), ZpT(11, 97, 96)
     assert sorted(calls, key=str) == sorted(
-        [("sqrt_positive", F, 1), ("hensel_root", F, 1), ("hensel_root", R, 1), ("sqrt_positive", R, 1)], key=str
+        [("sqrt_positive", F, 1), ("hensel_root", R, 1), ("sqrt_positive", R, 1)], key=str
     )
 
 
