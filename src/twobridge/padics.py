@@ -569,12 +569,17 @@ def sqrt_positive(a):
 
 
 def poly_eval(coeffs: Sequence, s):
-    """Evaluate sum coeffs[k] * s^k by Horner; coeffs are ring elements."""
-    acc = None
-    for c in reversed(list(coeffs)):
-        acc = c if acc is None else acc * s + c
-    if acc is None:
+    """Evaluate sum coeffs[k] * s^k by Horner; coeffs are ring elements.
+    A leading coefficient 1 (a monic polynomial) is not multiplied by s:
+    Horner then starts from s + coeffs[-2]."""
+    coeffs = list(coeffs)
+    if not coeffs:
         raise ValueError("empty coefficient list")
+    acc = coeffs.pop()
+    if coeffs and acc == 1:
+        acc = s + coeffs.pop()
+    for c in reversed(coeffs):
+        acc = acc * s + c
     return acc
 
 

@@ -9,11 +9,21 @@ is symmetric under t <-> 1/t, hence a polynomial Phi(x,u) in x = t + 1/t
 by t^k + t^-k = V_k(x), where V_0 = 2, V_1 = x, V_k = x V_(k-1) - V_(k-2).
 Replacing u by y - x^2 + 2 (with y the trace of g1 g2) gives the plane
 model Psi(x,y), normalized monic in its y-leading coefficient.
+
+W is built on packed integers (Kronecker substitution): each entry is
+one int with the coefficient of t^i u^j in the S-bit slot
+j (2L + 3) + i + L + 1, L = |w|, so t^(+-1) and u are shifts. S comes
+from a coefficient bound read off the word: 64 bits for m < 91, 128 for
+m < 183, 192 for m < 275. Only phi is decoded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress, repeat
+from operator import and_, lshift, or_
 
 from .laurent import _poly_divmod, _poly_gcd_field
 from .matrices import Mat2
@@ -155,16 +165,20 @@ class BivariatePoly:
 
     def substitute_second(self, repl: "BivariatePoly") -> "BivariatePoly":
         """Replace the second variable by repl (given in the target vars),
-        by Horner's rule: out = out * repl + column_j from the top j down."""
+        by Horner's rule: out = out * repl + column_j from the top j down.
+        out * repl is one shifted, scaled copy of out per term of repl,
+        each added in place into the first."""
         columns: dict[int, dict[tuple[int, int], int]] = {}
         for (i, j), c in self.terms.items():
             columns.setdefault(j, {})[(i, 0)] = c
-        out = BivariatePoly()
+        out: dict[tuple[int, int], int] = {}
         for j in range(self.degree_second(), -1, -1):
-            out = out * repl
-            if j in columns:
-                out = out + BivariatePoly._wrap(columns[j])
-        return out
+            prev, out = out, {}
+            for (a, b), d in repl.terms.items():
+                shifted = {(i + a, k + b): c * d for (i, k), c in prev.items()}
+                out = _add_into(out, shifted) if out else shifted
+            _add_into(out, columns.get(j, {}))
+        return BivariatePoly._wrap(out)
 
     def derivative_second(self) -> "BivariatePoly":
         return BivariatePoly._wrap({(i, j - 1): c * j for (i, j), c in self.terms.items() if j > 0})
@@ -218,25 +232,71 @@ class BivariatePoly:
         return "BivariatePoly(%s)" % self.text()
 
 
-def riley_word_matrix(pres: TwoBridgePresentation) -> Mat2:
-    """W = C^eps1 D^eps2 C^eps3 ... over Z[t^(+-1), u]: the image of w
-    under g1 -> C, g2 -> D.
+class PackedRows:
+    """W with each entry one signed int, in the layout of riley_word_matrix:
+    length L = |w|, slot width S, entries (W_11, W_12, W_21, W_22)."""
 
-    Each letter updates both rows (a, b) of W in place of a matrix
-    product: C^s sends (a, b) to (a t^s, s a + b t^-s) and D^s sends it
-    to (a t^s + s b u, b t^-s).
-    """
-    rows = [[{(0, 0): 1}, {}], [{}, {(0, 0): 1}]]
+    __slots__ = ("length", "slot", "entries")
+
+    def __init__(self, length: int, slot: int, entries: tuple[int, int, int, int]):
+        self.length, self.slot, self.entries = length, slot, entries
+
+    def terms(self, v: int) -> dict[tuple[int, int], int]:
+        """The nonzero coefficients of the packed entry v, by (i, j): with
+        the bias 2^(S-1) in each slot, an XOR with the bias leaves each
+        slot in two's complement, read by one struct.unpack (one repeat
+        count, as struct caches every format) with only the top 64-bit
+        word of a slot signed."""
+        S, stride, low = self.slot, 2 * self.length + 3, self.length + 1
+        w, n = S // 64, v.bit_length() // S + 2
+        bias = ((1 << S * n) - 1) // ((1 << S) - 1) << (S - 1)
+        words = struct.unpack("<%dq" % (w * n), ((v + bias) ^ bias).to_bytes(8 * w * n, "little"))
+        coeffs = words[w - 1::w]
+        for e in range(w - 2, -1, -1):
+            coeffs = list(map(or_, map(lshift, coeffs, repeat(64)), map(and_, words[e::w], repeat(2**64 - 1))))
+        return {(k % stride - low, k // stride): coeffs[k] for k in compress(range(n), coeffs)}
+
+    def matrix(self) -> Mat2:
+        return Mat2(*(BivariatePoly._wrap(self.terms(v)) for v in self.entries))
+
+
+def _packed_rows(pres: TwoBridgePresentation) -> PackedRows:
+    """W packed as in riley_word_matrix. Each letter updates both rows
+    (a, b): C^s sends them to (a t^s, s a + b t^-s) and D^s to
+    (a t^s + s b u, b t^-s)."""
+    L = len(pres.w)
+    na = nb = 1  # bounds on the 1-norms of a row's entries
+    for g, _ in pres.w:
+        if g == 1:
+            nb += na
+        else:
+            na += nb
+    S = -(-((3 * max(na, nb)).bit_length() + 1) // 64) * 64
+    U = S * (2 * L + 3)
+    rows = [[1 << S * (L + 1), 0], [0, 1 << S * (L + 1)]]
     for g, s in pres.w:
         for row in rows:
-            a = {(i + s, j): c for (i, j), c in row[0].items()}
-            b = {(i - s, j): c for (i, j), c in row[1].items()}
+            a, b = row
             if g == 1:
-                _add_into(b, row[0], s)
+                row[:] = (a << S, a + (b >> S)) if s == 1 else (a >> S, (b << S) - a)
             else:
-                _add_into(a, {(i, j + 1): c for (i, j), c in row[1].items()}, s)
-            row[:] = a, b
-    return Mat2(*(BivariatePoly._wrap(e) for row in rows for e in row))
+                row[:] = ((a << S) + (b << U), b >> S) if s == 1 else ((a >> S) - (b << U), b << S)
+    return PackedRows(L, S, (*rows[0], *rows[1]))
+
+
+def riley_word_matrix(pres: TwoBridgePresentation) -> Mat2:
+    """W = C^eps1 D^eps2 C^eps3 ... over Z[t^(+-1), u]: the image of w
+    under g1 -> C, g2 -> D, built on packed rows and decoded.
+
+    Layout: with L = |w|, the coefficient of t^i u^j is the S-bit slot
+    j (2L + 3) + i + L + 1. W's t-exponents lie in -L..L, so the factor
+    t^(+-1) of phi stays inside a u-row, and a right shift by S bits is
+    exact. Bound: a letter C^s gives a row (a, b) 1-norms
+    (|a|, <= |a| + |b|) and D^s (<= |a| + |b|, |b|), so they grow at
+    most like Fibonacci numbers; S is the least multiple of 64 above
+    the bits of 3 max(|a|, |b|) (phi adds a factor 3) plus a sign bit.
+    """
+    return _packed_rows(pres).matrix()
 
 
 def _symmetrize(phi: BivariatePoly) -> tuple[int, BivariatePoly]:
@@ -267,24 +327,31 @@ class RileyData:
 
     m: int
     n: int
-    W: Mat2
+    rows: PackedRows = field(compare=False, repr=False)  # W, packed
     phi: BivariatePoly       # variables (t, u)
     l: int                   # t^l * phi = phi_xu(t + 1/t, u)
     phi_xu: BivariatePoly    # variables (x, u)
     sign: int                # psi = sign * phi_xu(x, y - x^2 + 2)
     psi: BivariatePoly       # variables (x, y), monic in y when possible
 
+    @cached_property
+    def W(self) -> Mat2:
+        """The word matrix, decoded from rows on first use."""
+        return self.rows.matrix()
+
 
 def riley_polynomial(pres: TwoBridgePresentation) -> RileyData:
-    W = riley_word_matrix(pres)
-    phi = W.a + W.b.shift_first(-1) - W.b.shift_first(1)
+    rows = _packed_rows(pres)
+    a, b = rows.entries[:2]
+    S = rows.slot
+    phi = BivariatePoly._wrap(rows.terms(a + (b >> S) - (b << S)))
     l, phi_xu = _symmetrize(phi)
     x = BivariatePoly.first_var(1)
     y = BivariatePoly.second_var()
     psi0 = phi_xu.substitute_second(y - x * x + 2)
     sign = -1 if psi0.coeff_of_second(psi0.degree_second()) == -1 else 1
     return RileyData(
-        m=pres.m, n=pres.n, W=W, phi=phi, l=l, phi_xu=phi_xu, sign=sign, psi=psi0 * sign
+        m=pres.m, n=pres.n, rows=rows, phi=phi, l=l, phi_xu=phi_xu, sign=sign, psi=psi0 * sign
     )
 
 

@@ -126,3 +126,31 @@ def substitute_by_powers(terms, repl):
         for (a, b), d in powers[j].items():
             out[(a + i, b)] = out.get((a + i, b), 0) + c * d
     return {k: c for k, c in out.items() if c}
+
+
+def riley_rows(m, n):
+    """The entries (W_11, W_12, W_21, W_22) of W = C^eps1 D^eps2 C^eps3 ...
+    over Z[t^+-1, u], C = [[t, 1], [0, 1/t]], D = [[t, 0], [u, 1/t]], as
+    {(i, j): c} dicts for c * t^i * u^j, zeros dropped. Each letter
+    updates both rows (a, b): C^s sends them to (a t^s, s a + b t^-s) and
+    D^s to (a t^s + s b u, b t^-s)."""
+
+    def add_into(out, terms, k):
+        for key, c in terms.items():
+            c = out.get(key, 0) + k * c
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+
+    rows = [[{(0, 0): 1}, {}], [{}, {(0, 0): 1}]]
+    for i, s in enumerate(epsilon_oracle(m, n), start=1):
+        for row in rows:
+            a = {(e + s, j): c for (e, j), c in row[0].items()}
+            b = {(e - s, j): c for (e, j), c in row[1].items()}
+            if i % 2 == 1:
+                add_into(b, row[0], s)
+            else:
+                add_into(a, {(e, j + 1): c for (e, j), c in row[1].items()}, s)
+            row[:] = a, b
+    return [e for row in rows for e in row]

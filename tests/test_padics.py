@@ -417,6 +417,35 @@ def test_hensel_series():
         assert poly_eval(dcs, got).is_unit
 
 
+def _is_one(x):
+    return x.coeffs[0] == 1 and not any(x.coeffs[1:])
+
+
+def test_hensel_root_on_a_monic_f_never_multiplies_by_one(series_products, monkeypatch):
+    # Horner skips the leading 1 of a monic f: lifting the square root of
+    # a = 2 + T + 5T^2 over Z_7[[T]] (3^2 = 2 mod 7), as sqrt_positive
+    # does, makes series products but none with the constant 1
+    R = ZpT(7, 12, 12)
+    counting = PadicSeries.__mul__
+
+    def no_one(self, other):
+        assert not (isinstance(other, PadicSeries) and (_is_one(self) or _is_one(other)))
+        return counting(self, other)
+
+    monkeypatch.setattr(PadicSeries, "__mul__", no_one)
+    monkeypatch.setattr(PadicSeries, "__rmul__", no_one)
+    a = R([2, 1, 5])
+    root = hensel_root([-a, 0, 1], R.constant(3))
+    assert root * root == a and root.residue() == 3
+    assert series_products
+    # y^2 + c1 y + 1 at a series s costs one product, (s + c1) * s
+    s, c1 = R([3, 1]), R([4, 0, 2])
+    want = s * s + c1 * s + 1
+    series_products.clear()
+    assert poly_eval([R.one, c1, R.one], s) == want
+    assert len(series_products) == 1
+
+
 # --- the shared power ladder and Newton driver ----------------------------
 
 

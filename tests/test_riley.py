@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import bivariate_product, psi_scan, rep_scan, substitute_by_powers
+from oracles import bivariate_product, psi_scan, rep_scan, riley_rows, substitute_by_powers
 from twobridge.deformations import Representation
 from twobridge.laurent import _poly_divmod
 from twobridge.matrices import Mat2, word_matrix
@@ -21,6 +21,7 @@ from twobridge.padics import Zp
 from twobridge.presentations import two_bridge
 from twobridge.riley import (
     BivariatePoly,
+    _packed_rows,
     _residue_power,
     _roots_modp,
     _symmetrize,
@@ -101,6 +102,37 @@ def test_generator_matrix_traces():
             if math.gcd(m, n) == 1:
                 pres = two_bridge(m, n)
                 assert riley_word_matrix(pres) == word_matrix({1: C, 2: D}, pres.w, 1, 0), (m, n)
+
+
+def _coprime_ns(m):
+    return [n for n in range(2 - m, m, 2) if math.gcd(m, n) == 1]
+
+
+# every B(m, n) with m <= 51, and both sides of each step of the slot
+# width (64 -> 128 bits at m = 91, 128 -> 192 at m = 183) at n = 1 and
+# at the first n below -m/3
+PACKED_KNOTS = [(m, _coprime_ns(m)) for m in range(3, 52, 2)]
+PACKED_KNOTS += [(m, [1, [n for n in _coprime_ns(m) if n < -m // 3][-1]]) for m in (89, 91, 181, 183)]
+
+
+@pytest.mark.parametrize("m, ns", PACKED_KNOTS, ids=[str(m) for m, _ in PACKED_KNOTS])
+def test_packed_rows_match_the_dict_update(m, ns):
+    for n in ns:
+        rows = _packed_rows(two_bridge(m, n))
+        got, oracle = [rows.terms(v) for v in rows.entries], riley_rows(m, n)
+        assert got == oracle, (m, n)
+        # phi = W_11 + (1/t - t) W_12, formed packed and decoded once
+        a, b = rows.entries[:2]
+        phi = rows.terms(a + (b >> rows.slot) - (b << rows.slot))
+        want = dict(oracle[0])
+        for shift, k in ((-1, 1), (1, -1)):
+            for (i, j), c in oracle[1].items():
+                want[(i + shift, j)] = want.get((i + shift, j), 0) + k * c
+        assert phi == {key: c for key, c in want.items() if c}, (m, n)
+        # each slot holds its largest coefficient with a sign bit to spare
+        top = max(abs(c) for e in got + [phi] for c in e.values())
+        assert rows.slot > top.bit_length() + 1, (m, n)
+        assert rows.slot == (64 if m < 91 else 128 if m < 183 else 192)
 
 
 @pytest.mark.parametrize("mn", [(3, 1), (5, 3), (7, 3), (9, 5), (3, -1)])
