@@ -20,6 +20,7 @@ m < 183, 192 for m < 275. Only phi is decoded.
 from __future__ import annotations
 
 import struct
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
@@ -470,6 +471,8 @@ def _roots_modp(f: dict[int, int], p: int) -> list[int]:
             if 0 < max(s) < max(h):
                 todo += [s, _poly_divmod(h, s, p)[0]]
                 break
+        else:
+            raise RuntimeError("no a < %d splits a root factor of degree %d" % (p, max(h)))
     return sorted(roots)
 
 
@@ -477,13 +480,15 @@ def char_points(pres: TwoBridgePresentation, p: int) -> list[CharacterPoint]:
     """All F_p-points of the character scheme (y - x^2 + 2) * Psi = 0,
     in (x, y) order.
 
-    Psi's coefficients are reduced mod p once. For each x0, Psi(x0, y)
-    is a polynomial in y over F_p whose roots _roots_modp finds with one
-    half-power y^((p-1)/2) mod Psi(x0, y) and two gcds, so the cost is
-    about linear in p; when Psi(x0, y) vanishes identically every y is a
-    point. The abelian line contributes y = x0^2 - 2. A point is flagged
-    absolutely irreducible iff Psi vanishes and the abelian-line factor
-    does not.
+    Psi is even in x (g1 and g2 are conjugate, so rho (x) eps with
+    eps(g_i) = -1 has traces (-x, y)); an odd power of x is a defect and
+    raises RuntimeError. Psi's coefficients are reduced mod p once, as
+    polynomials in y of each power of X = x^2. For each of the p values
+    y0, _roots_modp finds the roots X0 of Psi(X, y0), of degree about m/7
+    where Psi(x0, y) has degree about m/2 in y, and each square X0 gives
+    x0 = +-sqrt(X0); where Psi(X, y0) vanishes, every x0 is a root. The
+    abelian line adds y = x0^2 - 2. A point is flagged absolutely
+    irreducible iff Psi vanishes and the abelian-line factor does not.
 
     p must be an odd prime <= 10^4. The guard's message still speaks of
     an exhaustive scan; it is part of the CLI's pinned output.
@@ -491,29 +496,34 @@ def char_points(pres: TwoBridgePresentation, p: int) -> list[CharacterPoint]:
     Zp(p, 1)  # raises ValueError unless p is an odd prime
     if p > 10**4:
         raise ValueError("exhaustive scan guarded at p <= 10^4")
-    columns: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), c in pres.riley.psi.terms.items():
-        if c % p:
-            columns.setdefault(j, []).append((i, c % p))
-    points = []
-    for x0 in range(p):
-        line_base = (x0 * x0 - 2) % p  # abelian line: y = x^2 - 2
+    psi = pres.riley.psi
+    top = psi.degree_second()
+    columns: dict[int, list[int]] = {}  # k -> coefficients of X^k, from y^top down
+    for (i, j), c in psi.terms.items():
+        if i % 2:
+            raise RuntimeError("Psi of B(%d, %d) has an odd power of x" % (pres.m, pres.n))
+        columns.setdefault(i // 2, [0] * (top + 1))[top - j] = c % p
+    root = {x0 * x0 % p: x0 for x0 in range((p + 1) // 2)}  # square roots in [0, (p-1)/2]
+    zeros: list[list[int]] = [[] for _ in range(p)]  # zeros[x0]: the y0 with Psi(x0, y0) = 0, rising
+    for y0 in range(p):
         f = {}
-        for j, col in columns.items():
-            v = sum(c * pow(x0, i, p) for i, c in col) % p
-            if v:
-                f[j] = v
-        zeros = set(_roots_modp(f, p) if f else range(p))
-        for y0 in sorted(zeros | {line_base}):
-            on_line = y0 == line_base
-            points.append(
-                CharacterPoint(
-                    x=x0,
-                    y=y0,
-                    on_abelian_line=on_line,
-                    absolutely_irreducible=(y0 in zeros and not on_line),
-                )
-            )
+        for k, col in columns.items():
+            v = 0
+            for c in col:
+                v = v * y0 + c
+            if v % p:
+                f[k] = v % p
+        for X0 in _roots_modp(f, p) if f else root:  # f = 0: every square X0
+            if X0 in root:
+                for x0 in {root[X0], -root[X0] % p}:
+                    zeros[x0].append(y0)
+    points = []
+    for x0, ys in enumerate(zeros):
+        line_base = (x0 * x0 - 2) % p  # abelian line: y = x^2 - 2
+        if line_base not in ys:
+            insort(ys, line_base)
+        # every y0 of ys off the line is a zero of Psi
+        points += [CharacterPoint(x0, y0, y0 == line_base, y0 != line_base) for y0 in ys]
     return points
 
 

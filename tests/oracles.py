@@ -6,7 +6,8 @@ scan decides membership of (x0, y0) by exhibiting an actual pair of
 2x2 matrices over F_p[z]/(z^2 - x0 z + 1) and checking the single group
 relation, rather than by evaluating any polynomial produced by the
 library. psi_scan does evaluate a given Psi, point by point, so it
-checks only how the points of that Psi are found.
+checks only how the points of that Psi are found; char_points_by_x finds
+them one x0 at a time with a root finder it is given.
 """
 
 
@@ -101,6 +102,31 @@ def psi_scan(terms, p):
             zero = sum(c * xs[i] * ys[j] for (i, j), c in terms.items()) % p == 0
             if on_line or zero:
                 out[(x0, y0)] = (on_line, zero and not on_line)
+    return out
+
+
+def char_points_by_x(terms, p, roots):
+    """The points of Psi found one x0 at a time, in (x, y) order, as
+    (x0, y0, on_abelian_line, abs_irreducible): Psi(x0, y) is reduced
+    mod p and roots(f, p) gives the sorted roots in F_p of a nonzero
+    {exponent: residue} f; where Psi(x0, y) vanishes every y0 is a root.
+    terms is {(i, j): c} for c * x^i * y^j with i, j >= 0."""
+    columns = {}
+    for (i, j), c in terms.items():
+        if c % p:
+            columns.setdefault(j, []).append((i, c % p))
+    out = []
+    for x0 in range(p):
+        line_y = (x0 * x0 - 2) % p
+        f = {}
+        for j, col in columns.items():
+            v = sum(c * pow(x0, i, p) for i, c in col) % p
+            if v:
+                f[j] = v
+        zeros = set(roots(f, p) if f else range(p))
+        for y0 in sorted(zeros | {line_y}):
+            on_line = y0 == line_y
+            out.append((x0, y0, on_line, y0 in zeros and not on_line))
     return out
 
 

@@ -13,7 +13,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import bivariate_product, psi_scan, rep_scan, riley_rows, substitute_by_powers
+from oracles import bivariate_product, char_points_by_x, psi_scan, rep_scan, riley_rows, substitute_by_powers
+from twobridge import riley
 from twobridge.deformations import Representation
 from twobridge.laurent import _poly_divmod
 from twobridge.matrices import Mat2, word_matrix
@@ -66,8 +67,10 @@ SCAN_COMBOS = [
 REP_SCAN_COMBOS = EXAMPLE_COMBOS + [(3, 1, 7), (5, 3, 5), (7, 3, 5)]
 REP_SCAN_COMBOS += [c for c in SCAN_COMBOS if c not in REP_SCAN_COMBOS]
 
-# the knots whose character points the benchmark's riley workload scans
+# the knots whose character points the benchmark's riley workload scans,
+# and the primes one and two steps either side of its centre for each
 CHAR_KNOTS = ((5, 3), (7, 3), (9, 5), (11, 5))
+CHAR_PRIMES = ((151, 157, 163, 167), (197, 199, 211, 223), (233, 239, 241, 251), (271, 277, 281, 283))
 
 
 @pytest.mark.parametrize("mn", sorted(PSI_GOLDENS))
@@ -328,12 +331,68 @@ def test_char_points_b31_agree_with_psi_scan(p):
 
 @pytest.mark.parametrize("p", [3, 7, 13])
 def test_char_points_where_psi_vanishes_in_y(p):
-    # Psi = x (y + x) vanishes for every y at x = 0
-    psi = BivariatePoly({(1, 1): 1, (2, 0): 1})
+    # Psi = x^2 (y + x^2) vanishes for every y at x = 0
+    psi = BivariatePoly({(2, 1): 1, (4, 0): 1})
     pres = SimpleNamespace(riley=SimpleNamespace(psi=psi))
     got = {(q.x, q.y): (q.on_abelian_line, q.absolutely_irreducible) for q in char_points(pres, p)}
     assert got == psi_scan(psi.terms, p)
     assert sum(1 for x0, _ in got if x0 == 0) == p
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_char_points_where_psi_vanishes_in_x(p):
+    # Psi = (y - 1)(x^2 - 3) vanishes for every x at y = 1
+    psi = BivariatePoly({(2, 1): 1, (0, 1): -3, (2, 0): -1, (0, 0): 3})
+    pres = SimpleNamespace(riley=SimpleNamespace(psi=psi))
+    pts = char_points(pres, p)
+    got = {(q.x, q.y): (q.on_abelian_line, q.absolutely_irreducible) for q in pts}
+    assert got == psi_scan(psi.terms, p)
+    assert [(q.x, q.y) for q in pts] == sorted(got)
+    assert sum(1 for _, y0 in got if y0 == 1) == p
+
+
+def test_char_points_rejects_an_odd_power_of_x():
+    # Psi is even in x for every knot; an odd power is a defect, not bad input
+    psi = BivariatePoly({(1, 1): 1, (2, 0): 1})
+    pres = SimpleNamespace(m=5, n=3, riley=SimpleNamespace(psi=psi))
+    with pytest.raises(RuntimeError, match=r"Psi of B\(5, 3\) has an odd power of x"):
+        char_points(pres, 7)
+
+
+def test_psi_is_even_in_x():
+    # rho (x) eps, eps(g_i) = -1, has traces (-x, y): every B(m, n) with m <= 51
+    knots = [(m, n) for m in range(3, 52, 2) for n in _coprime_ns(m)]
+    assert len(knots) == 542
+    for m, n in knots:
+        assert all(i % 2 == 0 for i, _ in two_bridge(m, n).riley.psi.terms), (m, n)
+
+
+def _assert_char_points_match_by_x(pres, p):
+    got = [(q.x, q.y, q.on_abelian_line, q.absolutely_irreducible) for q in char_points(pres, p)]
+    assert got == char_points_by_x(pres.riley.psi.terms, p, _roots_modp), p
+
+
+@pytest.mark.parametrize("mn", [(m, n) for m in range(3, 16, 2) for n in _coprime_ns(m)], ids=str)
+def test_char_points_match_by_x_oracle(mn):
+    # the 48 knots with m <= 15 at the 14 odd primes below 50
+    pres = two_bridge(*mn)
+    for p in _odd_primes(50):
+        _assert_char_points_match_by_x(pres, p)
+
+
+@pytest.mark.parametrize("mn,primes", zip(CHAR_KNOTS, CHAR_PRIMES), ids=str)
+def test_char_points_match_by_x_oracle_at_workload_primes(mn, primes):
+    pres = two_bridge(*mn)
+    for p in primes:
+        _assert_char_points_match_by_x(pres, p)
+
+
+def test_roots_modp_raises_when_no_shift_splits(monkeypatch):
+    # with every (y + a)^((p-1)/2) read as 1, no a splits (y-1)(y-2)(y-3)
+    monkeypatch.setattr(riley, "_residue_power", lambda a, k, h, p: {0: 1})
+    f = _product_modp([_lin(1), _lin(2), _lin(3)], 7)
+    with pytest.raises(RuntimeError, match="no a < 7 splits a root factor of degree 3"):
+        _roots_modp(f, 7)
 
 
 _coeffs = st.integers(-6, 6)

@@ -71,7 +71,8 @@ def test_tracer_counts_the_riley_kernels(capsys):
     assert capsys.readouterr().out.count("{") >= 2
     for name in ("riley_polynomial", "substitute_second", "bivariate_mul", "char_points"):
         assert tracer.counts["riley.%s.calls" % name] > 0, name
-    # char_points reduces Psi once per x and never evaluates it point by point
+    # char_points reduces Psi mod p once, finds its roots in X = x^2 once per y0,
+    # and never evaluates it point by point
     assert tracer.counts["riley.eval_modp.calls"] == 0
     # the Riley word matrix is built row by row, not by the generic word product
     assert tracer.counts["matrices.word_matrix.calls"] == 0
