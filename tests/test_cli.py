@@ -108,8 +108,9 @@ GOLDEN_JSON = [
     ("riley --m 63 --n -19", 0, "9e797d090aef452d6eec72690e064b1e1d15581bd481d4a275e5ecafb63cd741"),
     ("riley --m 101 --n -39", 0, "55d6eef25b0c9af71a4d60c108d9c6f4a9c04afd58263ac1f207015ffa2d9806"),
     ("riley --m 151 --n -57", 0, "43d4865cc940af596efdb49cf78e5caa8908e575bf7bb6c20a1cb225d84bc8b4"),
-    # the only row whose packed Riley rows need 192-bit slots
+    # the rows whose packed Riley rows need 192-bit and 256-bit slots
     ("riley --m 201 --n -77", 0, "511369bd6117fab8bf808374e97e433937ad9ca11efa2fef07facb4fa46c81bd"),
+    ("riley --m 275 --n -93", 0, "1a5d5ceece7d6ef64a0db6590ec8ca4c82c881fc4948a50c659ce63cd92f64df"),
     ("char-points --m 5 --n 3 --p 157", 0, "550564152524f72cc9a6ee28fed6d8acfc8addd756c490ecc0ffff082d6b7ca1"),
     ("char-points --m 7 --n 3 --p 211", 0, "c64d15273bede820088141c5ab3e8f0472d27b080f36281187fac0963b37156a"),
     ("char-points --m 9 --n 5 --p 241", 0, "7b14a1e475cf543eeea3c9cee441f9e80e56132ca883b072fed12f1c7a36eb1f"),
