@@ -10,9 +10,8 @@ coordinate systems expose it at different levels of symmetry.
 from twobridge.presentations import two_bridge
 from twobridge.riley import char_points, discriminant, riley_polynomial
 
-# the word matrix W and the polynomial phi(t, u) it determines
+# the polynomial phi(t, u) from the first row of the word matrix W
 data = riley_polynomial(two_bridge(5, 3))
-print("W(5,3) top-left entry:", data.W.a.text(("t", "u")))
 print("phi(t, u)  =", data.phi.text(("t", "u")))
 
 # substituting x = t + 1/t removes the eigenvalue asymmetry

@@ -2,29 +2,31 @@
 
 The parabolic-free two-variable setup: g1 maps to C(t) = [[t,1],[0,1/t]]
 and g2 to D(t,u) = [[t,0],[u,1/t]]. With W the epsilon-word in C and D,
-built one letter at a time on its rows (C and D are sparse), phi(t,u) :=
-W_11 + (1/t - t) W_12 vanishes exactly on the non-abelian part of the
-character scheme. With l = -(lowest + highest t-exponent)/2, t^l * phi
-is symmetric under t <-> 1/t, hence a polynomial Phi(x,u) in x = t + 1/t
-by t^k + t^-k = V_k(x), where V_0 = 2, V_1 = x, V_k = x V_(k-1) - V_(k-2).
-Replacing u by y - x^2 + 2 (with y the trace of g1 g2) gives the plane
-model Psi(x,y), normalized monic in its y-leading coefficient.
+phi(t,u) := W_11 + (1/t - t) W_12 vanishes exactly on the non-abelian
+part of the character scheme; only the first row of W is built, one
+letter at a time (C and D are sparse). With l = -(lowest + highest
+t-exponent)/2, t^l * phi is symmetric under t <-> 1/t, hence a
+polynomial Phi(x,u) in x = t + 1/t by t^k + t^-k = V_k(x), where
+V_0 = 2, V_1 = x, V_k = x V_(k-1) - V_(k-2). Replacing u by
+y - x^2 + 2 (with y the trace of g1 g2) gives the plane model Psi(x,y),
+normalized monic in its y-leading coefficient.
 
-W is built on packed integers (Kronecker substitution): each entry is
-one int with the coefficient of t^i u^j in the S-bit slot
+The row is built on packed integers (Kronecker substitution): each
+entry is one int with the coefficient of t^i u^j in the S-bit slot
 j (2L + 3) + i + L + 1, L = |w|, so t^(+-1) and u are shifts. S comes
 from a coefficient bound read off the word: 64 bits for m < 91, 128 for
-m < 183, 192 for m < 275. Only phi is decoded.
+m < 183, 192 for m < 275, 256 for m < 367. phi is formed packed, and
+only phi is decoded.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import insort
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import and_, lshift, or_
+from typing import NamedTuple
 
 from .laurent import _poly_divmod, _poly_gcd_field
 from .matrices import Mat2
@@ -233,61 +235,12 @@ class BivariatePoly:
         return "BivariatePoly(%s)" % self.text()
 
 
-class PackedRows:
-    """W with each entry one signed int, in the layout of riley_word_matrix:
-    length L = |w|, slot width S, entries (W_11, W_12, W_21, W_22)."""
-
-    __slots__ = ("length", "slot", "entries")
-
-    def __init__(self, length: int, slot: int, entries: tuple[int, int, int, int]):
-        self.length, self.slot, self.entries = length, slot, entries
-
-    def terms(self, v: int) -> dict[tuple[int, int], int]:
-        """The nonzero coefficients of the packed entry v, by (i, j): with
-        the bias 2^(S-1) in each slot, an XOR with the bias leaves each
-        slot in two's complement, read by one struct.unpack (one repeat
-        count, as struct caches every format) with only the top 64-bit
-        word of a slot signed."""
-        S, stride, low = self.slot, 2 * self.length + 3, self.length + 1
-        w, n = S // 64, v.bit_length() // S + 2
-        bias = ((1 << S * n) - 1) // ((1 << S) - 1) << (S - 1)
-        words = struct.unpack("<%dq" % (w * n), ((v + bias) ^ bias).to_bytes(8 * w * n, "little"))
-        coeffs = words[w - 1::w]
-        for e in range(w - 2, -1, -1):
-            coeffs = list(map(or_, map(lshift, coeffs, repeat(64)), map(and_, words[e::w], repeat(2**64 - 1))))
-        return {(k % stride - low, k // stride): coeffs[k] for k in compress(range(n), coeffs)}
-
-    def matrix(self) -> Mat2:
-        return Mat2(*(BivariatePoly._wrap(self.terms(v)) for v in self.entries))
-
-
-def _packed_rows(pres: TwoBridgePresentation) -> PackedRows:
-    """W packed as in riley_word_matrix. Each letter updates both rows
-    (a, b): C^s sends them to (a t^s, s a + b t^-s) and D^s to
-    (a t^s + s b u, b t^-s)."""
-    L = len(pres.w)
-    na = nb = 1  # bounds on the 1-norms of a row's entries
-    for g, _ in pres.w:
-        if g == 1:
-            nb += na
-        else:
-            na += nb
-    S = -(-((3 * max(na, nb)).bit_length() + 1) // 64) * 64
-    U = S * (2 * L + 3)
-    rows = [[1 << S * (L + 1), 0], [0, 1 << S * (L + 1)]]
-    for g, s in pres.w:
-        for row in rows:
-            a, b = row
-            if g == 1:
-                row[:] = (a << S, a + (b >> S)) if s == 1 else (a >> S, (b << S) - a)
-            else:
-                row[:] = ((a << S) + (b << U), b >> S) if s == 1 else ((a >> S) - (b << U), b << S)
-    return PackedRows(L, S, (*rows[0], *rows[1]))
-
-
-def riley_word_matrix(pres: TwoBridgePresentation) -> Mat2:
-    """W = C^eps1 D^eps2 C^eps3 ... over Z[t^(+-1), u]: the image of w
-    under g1 -> C, g2 -> D, built on packed rows and decoded.
+def _first_row(pres: TwoBridgePresentation) -> tuple[int, int, int]:
+    """The first row (W_11, W_12) of W = C^eps1 D^eps2 C^eps3 ... over
+    Z[t^(+-1), u], the image of w under g1 -> C, g2 -> D, as two packed
+    ints, with their slot width S. Each letter updates the row (a, b):
+    C^s sends it to (a t^s, s a + b t^-s) and D^s to (a t^s + s b u,
+    b t^-s).
 
     Layout: with L = |w|, the coefficient of t^i u^j is the S-bit slot
     j (2L + 3) + i + L + 1. W's t-exponents lie in -L..L, so the factor
@@ -297,7 +250,38 @@ def riley_word_matrix(pres: TwoBridgePresentation) -> Mat2:
     most like Fibonacci numbers; S is the least multiple of 64 above
     the bits of 3 max(|a|, |b|) (phi adds a factor 3) plus a sign bit.
     """
-    return _packed_rows(pres).matrix()
+    L = len(pres.w)
+    na = nb = 1  # bounds on the 1-norms of a row's entries
+    for g, _ in pres.w:
+        if g == 1:
+            nb += na
+        else:
+            na += nb
+    S = -(-((3 * max(na, nb)).bit_length() + 1) // 64) * 64
+    U = S * (2 * L + 3)
+    a, b = 1 << S * (L + 1), 0
+    for g, s in pres.w:
+        if g == 1:
+            a, b = (a << S, a + (b >> S)) if s == 1 else (a >> S, (b << S) - a)
+        else:
+            a, b = ((a << S) + (b << U), b >> S) if s == 1 else ((a >> S) - (b << U), b << S)
+    return a, b, S
+
+
+def _unpack(v: int, L: int, S: int) -> dict[tuple[int, int], int]:
+    """The nonzero coefficients, by (i, j), of an entry v packed as in
+    _first_row for a word of length L in S-bit slots: with the bias
+    2^(S-1) in each slot, an XOR with the bias leaves each slot in two's
+    complement, read by one struct.unpack (one repeat count, as struct
+    caches every format) with only the top 64-bit word of a slot signed."""
+    stride, low = 2 * L + 3, L + 1
+    w, n = S // 64, v.bit_length() // S + 2
+    bias = ((1 << S * n) - 1) // ((1 << S) - 1) << (S - 1)
+    words = struct.unpack("<%dq" % (w * n), ((v + bias) ^ bias).to_bytes(8 * w * n, "little"))
+    coeffs = words[w - 1::w]
+    for e in range(w - 2, -1, -1):
+        coeffs = list(map(or_, map(lshift, coeffs, repeat(64)), map(and_, words[e::w], repeat(2**64 - 1))))
+    return {(k % stride - low, k // stride): coeffs[k] for k in compress(range(n), coeffs)}
 
 
 def _symmetrize(phi: BivariatePoly) -> tuple[int, BivariatePoly]:
@@ -308,7 +292,7 @@ def _symmetrize(phi: BivariatePoly) -> tuple[int, BivariatePoly]:
     l = -(lo + hi) // 2
     sym = phi.shift_first(l)
     if sym != sym.mirror_first():  # also when lo + hi is odd
-        raise ValueError("no power of t symmetrizes phi; not a valid input")
+        raise RuntimeError("no power of t symmetrizes phi; not a valid input")
     columns: dict[int, dict[tuple[int, int], int]] = {}
     for (i, j), c in sym.terms.items():
         if i >= 0:
@@ -328,36 +312,27 @@ class RileyData:
 
     m: int
     n: int
-    rows: PackedRows = field(compare=False, repr=False)  # W, packed
     phi: BivariatePoly       # variables (t, u)
     l: int                   # t^l * phi = phi_xu(t + 1/t, u)
     phi_xu: BivariatePoly    # variables (x, u)
     sign: int                # psi = sign * phi_xu(x, y - x^2 + 2)
     psi: BivariatePoly       # variables (x, y), monic in y when possible
 
-    @cached_property
-    def W(self) -> Mat2:
-        """The word matrix, decoded from rows on first use."""
-        return self.rows.matrix()
-
 
 def riley_polynomial(pres: TwoBridgePresentation) -> RileyData:
-    rows = _packed_rows(pres)
-    a, b = rows.entries[:2]
-    S = rows.slot
-    phi = BivariatePoly._wrap(rows.terms(a + (b >> S) - (b << S)))
+    a, b, S = _first_row(pres)
+    phi = BivariatePoly._wrap(_unpack(a + (b >> S) - (b << S), len(pres.w), S))
     l, phi_xu = _symmetrize(phi)
     x = BivariatePoly.first_var(1)
     y = BivariatePoly.second_var()
     psi0 = phi_xu.substitute_second(y - x * x + 2)
     sign = -1 if psi0.coeff_of_second(psi0.degree_second()) == -1 else 1
     return RileyData(
-        m=pres.m, n=pres.n, rows=rows, phi=phi, l=l, phi_xu=phi_xu, sign=sign, psi=psi0 * sign
+        m=pres.m, n=pres.n, phi=phi, l=l, phi_xu=phi_xu, sign=sign, psi=psi0 * sign
     )
 
 
-@dataclass(frozen=True)
-class CharacterPoint:
+class CharacterPoint(NamedTuple):
     """A point (x, y) of the character scheme over F_p."""
 
     x: int
@@ -366,12 +341,7 @@ class CharacterPoint:
     absolutely_irreducible: bool
 
     def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "on_abelian_line": self.on_abelian_line,
-            "absolutely_irreducible": self.absolutely_irreducible,
-        }
+        return self._asdict()
 
 
 class _Residue:

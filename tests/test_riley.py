@@ -22,16 +22,16 @@ from twobridge.padics import Zp
 from twobridge.presentations import two_bridge
 from twobridge.riley import (
     BivariatePoly,
-    _packed_rows,
+    _first_row,
     _residue_power,
     _roots_modp,
     _symmetrize,
+    _unpack,
     build_modp_rep,
     char_points,
     discriminant,
     relation_holds,
     riley_polynomial,
-    riley_word_matrix,
 )
 
 PSI_GOLDENS = {
@@ -79,13 +79,18 @@ def test_psi_goldens(mn):
     assert data.psi.terms == PSI_GOLDENS[mn]
 
 
+def _row_and_phi(pres):
+    """W_11, W_12 and phi = W_11 + (1/t - t) W_12 (formed packed), each
+    decoded, and the slot width."""
+    a, b, S = _first_row(pres)
+    return [_unpack(v, len(pres.w), S) for v in (a, b, a + (b >> S) - (b << S))], S
+
+
 def test_b31_intermediates():
-    data = riley_polynomial(two_bridge(3, 1))
-    # W = C D
-    assert data.W.a.terms == {(2, 0): 1, (0, 1): 1}
-    assert data.W.b.terms == {(-1, 0): 1}
-    assert data.W.c.terms == {(-1, 1): 1}
-    assert data.W.d.terms == {(-2, 0): 1}
+    pres = two_bridge(3, 1)
+    data = riley_polynomial(pres)
+    # W = C D, first row
+    assert _row_and_phi(pres)[0][:2] == [{(2, 0): 1, (0, 1): 1}, {(-1, 0): 1}]
     assert data.phi.terms == {(2, 0): 1, (-2, 0): 1, (0, 1): 1, (0, 0): -1}
     assert data.l == 0
     assert data.phi_xu.terms == {(2, 0): 1, (0, 1): 1, (0, 0): -3}
@@ -99,12 +104,13 @@ def test_generator_matrix_traces():
     assert (C * D).trace() == BivariatePoly.first_var(2) + BivariatePoly.first_var(-2) + u
     assert C.det() == 1
     assert D.det() == 1
-    # the row-by-row W is the generic product of C and D along w
+    # the packed first row of W is that of the generic product of C and D along w
     for m in range(3, 16, 2):
         for n in range(2 - m, m, 2):
             if math.gcd(m, n) == 1:
                 pres = two_bridge(m, n)
-                assert riley_word_matrix(pres) == word_matrix({1: C, 2: D}, pres.w, 1, 0), (m, n)
+                W = word_matrix({1: C, 2: D}, pres.w, 1, 0)
+                assert _row_and_phi(pres)[0][:2] == [W.a.terms, W.b.terms], (m, n)
 
 
 def _coprime_ns(m):
@@ -114,19 +120,24 @@ def _coprime_ns(m):
 # every B(m, n) with m <= 51, and both sides of each step of the slot
 # width (64 -> 128 bits at m = 91, 128 -> 192 at m = 183) at n = 1 and
 # at the first n below -m/3
+def _step_ns(m):
+    return [1, [n for n in _coprime_ns(m) if n < -m // 3][-1]]
+
+
 PACKED_KNOTS = [(m, _coprime_ns(m)) for m in range(3, 52, 2)]
-PACKED_KNOTS += [(m, [1, [n for n in _coprime_ns(m) if n < -m // 3][-1]]) for m in (89, 91, 181, 183)]
+PACKED_KNOTS += [(m, _step_ns(m)) for m in (89, 91, 181, 183)]
+
+
+def _slot(m):
+    return 64 if m < 91 else 128 if m < 183 else 192 if m < 275 else 256
 
 
 @pytest.mark.parametrize("m, ns", PACKED_KNOTS, ids=[str(m) for m, _ in PACKED_KNOTS])
 def test_packed_rows_match_the_dict_update(m, ns):
     for n in ns:
-        rows = _packed_rows(two_bridge(m, n))
-        got, oracle = [rows.terms(v) for v in rows.entries], riley_rows(m, n)
+        (*got, phi), S = _row_and_phi(two_bridge(m, n))
+        oracle = riley_rows(m, n)[:2]
         assert got == oracle, (m, n)
-        # phi = W_11 + (1/t - t) W_12, formed packed and decoded once
-        a, b = rows.entries[:2]
-        phi = rows.terms(a + (b >> rows.slot) - (b << rows.slot))
         want = dict(oracle[0])
         for shift, k in ((-1, 1), (1, -1)):
             for (i, j), c in oracle[1].items():
@@ -134,14 +145,22 @@ def test_packed_rows_match_the_dict_update(m, ns):
         assert phi == {key: c for key, c in want.items() if c}, (m, n)
         # each slot holds its largest coefficient with a sign bit to spare
         top = max(abs(c) for e in got + [phi] for c in e.values())
-        assert rows.slot > top.bit_length() + 1, (m, n)
-        assert rows.slot == (64 if m < 91 else 128 if m < 183 else 192)
+        assert S > top.bit_length() + 1, (m, n)
+        assert S == _slot(m)
 
 
-@pytest.mark.parametrize("mn", [(3, 1), (5, 3), (7, 3), (9, 5), (3, -1)])
-def test_word_matrix_det_one(mn):
-    W = riley_word_matrix(two_bridge(*mn))
-    assert W.det() == BivariatePoly.constant(1)
+# both sides of the 192 -> 256 bit step at m = 275, at n = 1 and at the
+# first n below -m/3, on the packed row alone: the dict oracle takes
+# seconds per knot here
+SLOT_256_KNOTS = [(m, n) for m in (273, 275) for n in _step_ns(m)]
+
+
+@pytest.mark.parametrize("m, n", SLOT_256_KNOTS)
+def test_packed_slot_width_at_256_bits(m, n):
+    entries, S = _row_and_phi(two_bridge(m, n))
+    top = max(abs(c) for e in entries for c in e.values())
+    assert S > top.bit_length() + 1, (m, n)
+    assert S == _slot(m)
 
 
 @pytest.mark.parametrize("mn", [(3, 1), (5, 3), (7, 3), (9, 5), (3, -1), (31, -9), (47, -15)])
@@ -163,7 +182,7 @@ def test_symmetrization_reconstructs_phi(mn):
     ],
 )
 def test_symmetrize_rejects_unsymmetrizable_phi(terms):
-    with pytest.raises(ValueError, match="no power of t symmetrizes phi"):
+    with pytest.raises(RuntimeError, match="no power of t symmetrizes phi"):
         _symmetrize(BivariatePoly(terms))
 
 

@@ -74,7 +74,8 @@ def test_tracer_counts_the_riley_kernels(capsys):
     # char_points reduces Psi mod p once, finds its roots in X = x^2 once per y0,
     # and never evaluates it point by point
     assert tracer.counts["riley.eval_modp.calls"] == 0
-    # the Riley word matrix is built row by row, not by the generic word product
+    # the first row of the Riley word matrix is built letter by letter, not by
+    # the generic word product
     assert tracer.counts["matrices.word_matrix.calls"] == 0
     after = _package_namespace()
     assert after.keys() == before.keys()
