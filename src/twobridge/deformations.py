@@ -39,16 +39,6 @@ class BranchMismatch(ArithmeticError):
     mod-p representation."""
 
 
-class _Image:
-    """A word's trace coordinates and, once asked for, its matrix."""
-
-    __slots__ = ("coords", "matrix")
-
-    def __init__(self, coords: tuple, matrix: Mat2 | None = None):
-        self.coords = coords
-        self.matrix = matrix
-
-
 _G1G2 = gen(1) * gen(2)
 
 
@@ -75,20 +65,21 @@ class Representation:
     on A^2 = aA - I and B^2 = bB - I, so the matrices must have
     determinant exactly 1 (an inverse letter is the adjugate).
 
-    The cache starts from the identity, the letters and g1 g2 = AB. A
-    word w that is not cached is rho(first letter) times rho(w minus its
-    first letter) when that suffix is cached, and otherwise its longest
-    cached prefix times its remaining letters, one at a time, with each
-    new prefix cached. Calling rep(w) returns the matrix, built from the
-    coordinates once and kept with them; the identity and the letters
-    keep their given matrices, and AB is multiplied out on first use.
+    The coordinate cache starts from the identity, the letters and
+    g1 g2 = AB. A word w that is not cached is rho(first letter) times
+    rho(w minus its first letter) when that suffix is cached, and
+    otherwise its longest cached prefix times its remaining letters, one
+    at a time, with each new prefix cached. Calling rep(w) returns the
+    matrix from a second cache, which starts from the given identity,
+    letters and inverses; AB is multiplied out on first use, and any
+    other word's matrix is built from its coordinates once and kept.
     Where the coordinates are not unique (a reducible pair, for which
     I, A, B, AB span less than all 2 x 2 matrices), two coordinate
     vectors can name one matrix; compare matrices, not coordinates, to
     decide equality.
     """
 
-    __slots__ = ("ring", "matrices", "_traces", "_cache", "fox_images")
+    __slots__ = ("ring", "matrices", "_traces", "_cache", "_mats", "fox_images")
 
     def __init__(self, ring, matrices: dict[int, Mat2]):
         self.ring = ring
@@ -98,41 +89,47 @@ class Representation:
         c = A.a * B.a + A.b * B.c + A.c * B.b + A.d * B.d
         self._traces = (a, b, c, c - a * b)
         one, zero = ring.one, ring.zero
-        self._cache: dict[FreeWord, _Image] = {
-            FreeWord(): _Image((one, zero, zero, zero), Mat2.identity(one, zero)),
-            gen(1): _Image((zero, one, zero, zero), A),
-            gen(1, -1): _Image((a, -one, zero, zero), A.sl2_inverse()),
-            gen(2): _Image((zero, zero, one, zero), B),
-            gen(2, -1): _Image((b, zero, -one, zero), B.sl2_inverse()),
-            _G1G2: _Image((zero, zero, zero, one)),
+        self._cache: dict[FreeWord, tuple] = {
+            FreeWord(): (one, zero, zero, zero),
+            gen(1): (zero, one, zero, zero),
+            gen(1, -1): (a, -one, zero, zero),
+            gen(2): (zero, zero, one, zero),
+            gen(2, -1): (b, zero, -one, zero),
+            _G1G2: (zero, zero, zero, one),
+        }
+        self._mats: dict[FreeWord, Mat2] = {
+            FreeWord(): Mat2.identity(one, zero),
+            gen(1): A,
+            gen(1, -1): A.sl2_inverse(),
+            gen(2): B,
+            gen(2, -1): B.sl2_inverse(),
         }
         # homology.fox_images' results, keyed by the word w of the relator
         self.fox_images: dict[FreeWord, tuple[Mat2, Mat2]] = {}
 
     def __call__(self, word: FreeWord) -> Mat2:
-        img = self._cache.get(word) or self._image(word)
-        if img.matrix is None:
-            img.matrix = self._ab() if word == _G1G2 else self.matrix(img.coords)
-        return img.matrix
+        m = self._mats.get(word)
+        if m is None:
+            m = self._mats[word] = self._ab() if word == _G1G2 else self.matrix(self.coords(word))
+        return m
 
     def coords(self, word: FreeWord) -> tuple:
         """The trace coordinates of rho(word), cached."""
-        return (self._cache.get(word) or self._image(word)).coords
+        return self._cache.get(word) or self._coords(word)
 
-    def _image(self, word: FreeWord) -> _Image:
+    def _coords(self, word: FreeWord) -> tuple:
         cache, letters = self._cache, word.letters
         tail = cache.get(word.suffix(len(word) - 1))
         if tail is not None:
-            img = cache[word] = _Image(self.left(letters[0], tail.coords))
-            return img
+            m = cache[word] = self.left(letters[0], tail)
+            return m
         k = len(word) - 1  # the identity is cached, so this stops
         while word.prefix(k) not in cache:
             k -= 1
-        m = cache[word.prefix(k)].coords
+        m = cache[word.prefix(k)]
         for j in range(k, len(word)):
-            m = self.right(m, letters[j])
-            img = cache[word.prefix(j + 1)] = _Image(m)
-        return img
+            m = cache[word.prefix(j + 1)] = self.right(m, letters[j])
+        return m
 
     def right(self, m: tuple, letter) -> tuple:
         """The coordinates of M times rho(letter)."""
@@ -176,10 +173,10 @@ class Representation:
         )
 
     def _ab(self) -> Mat2:
-        img = self._cache[_G1G2]
-        if img.matrix is None:
-            img.matrix = self.matrices[1] * self.matrices[2]
-        return img.matrix
+        m = self._mats.get(_G1G2)
+        if m is None:
+            m = self._mats[_G1G2] = self.matrices[1] * self.matrices[2]
+        return m
 
     @property
     def p(self) -> int:

@@ -23,7 +23,10 @@ matrices, lists of scalar rows:
 
 The Fox derivatives are computed once per presentation: pres.fox_w
 (dw/dg_i) for fox_images, and pres.fox (dr/dg_i), which twisted_alexander
-and ad_cohomology push through their residual representation.
+and ad_cohomology push through their residual representation. The other
+2 x 2 facts are SL2 identities read off the matrix entries: the Alexander
+denominator det(t rho(g_i) - I) = t^2 - tr rho(g_i) t + 1, the torsion
+determinant det(rho(w) - I) = 2 - tr rho(w), and Ad(g) on sl2 (_ad3).
 """
 
 from __future__ import annotations
@@ -46,10 +49,6 @@ from .padics import (
 from .presentations import TwoBridgePresentation
 from .riley import relation_holds
 from .words import FreeWord, gen, reduced_words
-
-
-class DegenerateRepresentation(ArithmeticError):
-    """No admissible deleted index for the twisted Alexander invariant."""
 
 
 # --- boundary maps ---------------------------------------------------------
@@ -178,13 +177,21 @@ def _phi_matrix(rep, elt: GroupRingElement, laur_ring: Zp) -> Mat2:
     return acc
 
 
+def _alexander_denominator(rep, i: int) -> LaurentPoly:
+    """det Phi(g_i - 1) = det(t g - I) = det(g) t^2 - tr(g) t + 1 for the
+    2 x 2 matrix g = rho(g_i); its constant coefficient 1 keeps it nonzero."""
+    g = rep(gen(i))
+    return LaurentPoly(rep.ring, {2: g.det().r, 1: -g.trace().r, 0: 1})
+
+
 def twisted_alexander(pres: TwoBridgePresentation, rep) -> TwistedAlexander:
     """Wada invariant for both deleted indices, with the pairwise
     agreement-up-to-unit assertion built in.
 
     Deleting block row i of the Fox matrix leaves the derivative by the
     other generator; the denominator uses the same index i:
-    Delta_i = det Phi(dr/dg_{3-i}) / det Phi(g_i - 1).
+    Delta_i = det Phi(dr/dg_{3-i}) / det Phi(g_i - 1), the denominator
+    read off the generator matrix (_alexander_denominator) and never zero.
     Requires a representation with PadicInt entries (residual or
     specialized); series-valued representations go through l_function.
     """
@@ -194,24 +201,17 @@ def twisted_alexander(pres: TwoBridgePresentation, rep) -> TwistedAlexander:
     zero = LaurentPoly.zero(ring)
     results = []
     for i in (1, 2):
-        den_elt = GroupRingElement.from_word(gen(i)) - GroupRingElement.one()
-        den = det_general(_phi_matrix(rep, den_elt, ring).rows(), zero)
-        if den.is_zero:
-            continue
+        den = _alexander_denominator(rep, i)
         num = det_general(_phi_matrix(rep, pres.fox[2 - i], ring).rows(), zero)  # dr/dg_{3-i}
         quot = divide_exact(num, den)
         results.append(AlexanderResult(deleted_index=i, numerator=num, denominator=den, quotient=quot))
-    if not results:
-        raise DegenerateRepresentation("det Phi(g_i - 1) = 0 for every generator")
-    for ra, rb in combinations(results, 2):
-        if ra.quotient is not None and rb.quotient is not None:
-            agree = eq_up_to_unit(ra.quotient, rb.quotient)
-        else:
-            agree = eq_up_to_unit(ra.numerator * rb.denominator, rb.numerator * ra.denominator)
-        if not agree:
-            raise ArithmeticError(
-                "deleted indices %d and %d disagree up to unit" % (ra.deleted_index, rb.deleted_index)
-            )
+    ra, rb = results
+    if ra.quotient is not None and rb.quotient is not None:
+        agree = eq_up_to_unit(ra.quotient, rb.quotient)
+    else:
+        agree = eq_up_to_unit(ra.numerator * rb.denominator, rb.numerator * ra.denominator)
+    if not agree:
+        raise ArithmeticError("deleted indices 1 and 2 disagree up to unit")
     return TwistedAlexander(results=tuple(results))
 
 
@@ -245,8 +245,8 @@ class TorsionReport:
 
 
 def det_minus_identity(rep, w: FreeWord) -> PadicInt:
-    """det(rho(w) - I)."""
-    return _minus_identity(rep, w).det()
+    """det(rho(w) - I), which is 2 - tr rho(w) as rho(w) has determinant 1."""
+    return 2 - rep(w).trace()
 
 
 _TORSION_WORD_LEN = 3
@@ -271,7 +271,7 @@ def torsion_criterion(pres: TwoBridgePresentation, rep) -> TorsionReport:
     """
     try:
         delta1 = twisted_alexander(pres, rep).value_at_one()
-    except (DegenerateRepresentation, Indeterminate):
+    except Indeterminate:
         delta1 = None
     return TorsionReport.from_results(torsion_witness(rep), delta1)
 
@@ -428,14 +428,14 @@ def vanishing_link(pres: TwoBridgePresentation, rep, residual_rep) -> VanishingR
 
 
 def _ad3(m: Mat2, p: int) -> list[list[int]]:
-    """Matrix of X -> m X m^-1 on sl2 in the basis (E, H, F), mod p."""
-    minv = m.sl2_inverse()
-    cols = []
-    basis = [Mat2(0, 1, 0, 0), Mat2(1, 0, 0, -1), Mat2(0, 0, 1, 0)]
-    for X in basis:
-        img = m.map(lambda e: e.r) * X * minv.map(lambda e: e.r)
-        cols.append([img.b % p, img.a % p, img.c % p])
-    return [[cols[j][i] for j in range(3)] for i in range(3)]
+    """Matrix of X -> m X m^-1 on sl2 in the basis (E, H, F), mod p,
+    written from the entries of m = [[a, b], [c, d]] of determinant 1."""
+    a, b, c, d = m.a.r, m.b.r, m.c.r, m.d.r
+    return [
+        [a * a % p, -2 * a * b % p, -b * b % p],
+        [-a * c % p, (a * d + b * c) % p, b * d % p],
+        [-c * c % p, 2 * c * d % p, d * d % p],
+    ]
 
 
 def _ad_of_elt(rep, elt: GroupRingElement, p: int) -> list[list[int]]:

@@ -72,8 +72,7 @@ class TwoBridgePresentation:
 def two_bridge(m: int, n: int) -> TwoBridgePresentation:
     """Build the presentation of the 2-bridge knot group of B(m,n)."""
     eps = epsilon_sequence(m, n)
-    w = FreeWord()
-    for i, e in enumerate(eps, start=1):
-        w = w * gen(1 if i % 2 == 1 else 2, e)
+    # neighbouring letters use different generators, so none cancel
+    w = FreeWord((1 if i % 2 == 1 else 2, e) for i, e in enumerate(eps, start=1))
     relator = w * gen(1) * w.inverse() * gen(2, -1)
     return TwoBridgePresentation(m=m, n=n, epsilon=eps, w=w, relator=relator)

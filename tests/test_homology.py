@@ -12,21 +12,24 @@ import random
 
 import pytest
 
-from twobridge.deformations import Representation, build_family, specialize_family
+from twobridge.deformations import Representation, build_family, random_sl2, specialize_family
 from twobridge.groupring import GroupRingElement
 from twobridge.homology import (
     AlexanderResult,
-    DegenerateRepresentation,
     FittingResult,
     LFunctionResult,
     TorsionReport,
     VanishingReport,
+    _ad3,
+    _alexander_denominator,
+    _phi_matrix,
     ad_cohomology,
     apply_rep,
     boundary1,
     boundary2,
     chain_contraction,
     delta0_h0,
+    det_minus_identity,
     fitting_delta,
     fitting_minors,
     fox_images,
@@ -36,11 +39,11 @@ from twobridge.homology import (
     vanishing_link,
 )
 from twobridge.laurent import LaurentPoly, eq_up_to_unit
-from twobridge.matrices import Mat2
+from twobridge.matrices import Mat2, det_general
 from twobridge.padics import DivisorNormalForm, Indeterminate, Zp
 from twobridge.presentations import two_bridge
 from twobridge.riley import build_modp_rep, char_points, relation_holds
-from twobridge.words import FreeWord, gen
+from twobridge.words import FreeWord, gen, reduced_words
 
 KEYS = ("rho1", "rho2", "rho3", "rho4")
 FAMILIES = {k: build_family(k) for k in KEYS}
@@ -241,23 +244,74 @@ def test_deleted_index_agreement_on_char_point_reps():
     assert checked >= 20
 
 
+def _gen_minus_one(i):
+    return GroupRingElement.from_word(gen(i)) - GroupRingElement.one()
+
+
+def _phi_denominator(rep, i):
+    """det Phi(g_i - 1) by the Laurent matrix and a Laplace expansion."""
+    ring = rep.ring
+    return det_general(_phi_matrix(rep, _gen_minus_one(i), ring).rows(), LaurentPoly.zero(ring))
+
+
 def test_degenerate_representation_contract():
-    assert issubclass(DegenerateRepresentation, ArithmeticError)
-    # unreachable through twisted_alexander for 2x2 input: the
-    # denominator det(t*rho(g) - I) always has constant coefficient 1
+    # the denominator det(t*rho(g) - I) always has constant coefficient 1,
+    # so no deleted index is ever dropped for 2x2 input
     rng = random.Random(2)
     ring = Zp(5, 1)
     for _ in range(20):
         mats = [[[rng.randrange(5) for _ in range(2)] for _ in range(2)] for _ in range(2)]
         rep = _pair_rep(5, mats)
-        from twobridge.homology import _phi_matrix
+        assert _phi_denominator(rep, 1).coefficient(0) == ring(1)
 
-        elt = GroupRingElement.from_word(gen(1)) - GroupRingElement.one()
-        den = _phi_matrix(rep, elt, ring)
-        from twobridge.matrices import det_general
 
-        d = det_general(den.rows(), LaurentPoly.zero(ring))
-        assert d.coefficient(0) == ring(1)
+def _random_sl2_reps(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        ring = Zp(rng.choice([3, 5, 7, 11, 13, 17, 19]), rng.choice([1, 3, 8]))
+        yield Representation(ring, {1: random_sl2(rng, ring), 2: random_sl2(rng, ring)})
+
+
+def _residual_and_specialized_reps():
+    for key in KEYS:
+        yield FAMILIES[key].pres, FAMILIES[key].rep.residual()
+    for key, x_rat in (("rho3", 5), ("rho4", 6)):
+        yield FAMILIES[key].pres, specialize_family(FAMILIES[key], x_rat).rep
+
+
+def test_alexander_denominator_matches_phi_determinant():
+    for rep in _random_sl2_reps(seed=11, count=200):
+        for i in (1, 2):
+            assert _alexander_denominator(rep, i) == _phi_denominator(rep, i)
+    for pres, rep in _residual_and_specialized_reps():
+        ta = twisted_alexander(pres, rep)
+        assert [r.denominator for r in ta.results] == [_phi_denominator(rep, i) for i in (1, 2)]
+
+
+def _ad3_by_conjugation(m, p):
+    minv = m.sl2_inverse().map(lambda e: e.r)
+    cols = []
+    for X in (Mat2(0, 1, 0, 0), Mat2(1, 0, 0, -1), Mat2(0, 0, 1, 0)):
+        img = m.map(lambda e: e.r) * X * minv
+        cols.append([img.b % p, img.a % p, img.c % p])
+    return [[cols[j][i] for j in range(3)] for i in range(3)]
+
+
+def test_ad3_matches_conjugation():
+    rng = random.Random(12)
+    for _ in range(300):
+        ring = Zp(rng.choice([3, 5, 7, 11, 13, 17, 19]), 1)
+        m = random_sl2(rng, ring)
+        assert _ad3(m, ring.p) == _ad3_by_conjugation(m, ring.p)
+
+
+def test_det_minus_identity_matches_matrix_determinant():
+    reps = [rep for _, rep in _residual_and_specialized_reps()]
+    reps += list(_random_sl2_reps(seed=13, count=20))
+    for rep in reps:
+        ident = Mat2.identity(rep.one, rep.zero)
+        for w in reduced_words(3, include_identity=True):
+            assert det_minus_identity(rep, w) == (rep(w) - ident).det(), str(w)
 
 
 # --- torsion criterion ------------------------------------------------------

@@ -87,6 +87,10 @@ def test_epsilon_palindrome(mn):
 def test_relator_shape(mn):
     m, n = mn
     pres = two_bridge(m, n)
+    # w has m-1 letters alternating g1, g2 with exponents epsilon_i
+    assert len(pres.w) == m - 1
+    assert [g for g, _ in pres.w.letters] == [1, 2] * ((m - 1) // 2)
+    assert tuple(s for _, s in pres.w.letters) == epsilon_sequence(m, n)
     # relator = w g1 w^-1 g2^-1 with w of length m-1, total 2m letters when reduced fully
     assert pres.relator == pres.w * gen(1) * pres.w.inverse() * gen(2, -1)
     # exponent sums: w has equal signs on odd/even positions by construction
