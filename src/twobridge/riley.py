@@ -15,8 +15,12 @@ The row is built on packed integers (Kronecker substitution): each
 entry is one int with the coefficient of t^i u^j in the S-bit slot
 j (2L + 3) + i + L + 1, L = |w|, so t^(+-1) and u are shifts. S comes
 from a coefficient bound read off the word: 64 bits for m < 91, 128 for
-m < 183, 192 for m < 275, 256 for m < 367. phi is formed packed, and
-only phi is decoded.
+m < 183, 192 for m < 275, 256 for m < 367. phi is formed packed and
+decoded. Both coordinate changes run packed as well, each in slots
+sized from a bound on its result read off its decoded input:
+sum c_k V_k by Clenshaw's recurrence, where multiplying by x is a shift,
+and u = y - x^2 + 2 by Horner's rule, two shifts and three adds per
+power of u. phi, phi_xu and psi are each decoded once.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import and_, lshift, or_
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .laurent import _poly_divmod, _poly_gcd_field
 from .matrices import Mat2
@@ -235,6 +239,12 @@ class BivariatePoly:
         return "BivariatePoly(%s)" % self.text()
 
 
+def _slot(bound: int) -> int:
+    """The least multiple of 64 bits that holds an integer of absolute
+    value <= bound with a sign bit."""
+    return -(-(bound.bit_length() + 1) // 64) * 64
+
+
 def _first_row(pres: TwoBridgePresentation) -> tuple[int, int, int]:
     """The first row (W_11, W_12) of W = C^eps1 D^eps2 C^eps3 ... over
     Z[t^(+-1), u], the image of w under g1 -> C, g2 -> D, as two packed
@@ -247,8 +257,8 @@ def _first_row(pres: TwoBridgePresentation) -> tuple[int, int, int]:
     t^(+-1) of phi stays inside a u-row, and a right shift by S bits is
     exact. Bound: a letter C^s gives a row (a, b) 1-norms
     (|a|, <= |a| + |b|) and D^s (<= |a| + |b|, |b|), so they grow at
-    most like Fibonacci numbers; S is the least multiple of 64 above
-    the bits of 3 max(|a|, |b|) (phi adds a factor 3) plus a sign bit.
+    most like Fibonacci numbers; S = _slot(3 max(|a|, |b|)), as phi
+    adds a factor 3.
     """
     L = len(pres.w)
     na = nb = 1  # bounds on the 1-norms of a row's entries
@@ -257,7 +267,7 @@ def _first_row(pres: TwoBridgePresentation) -> tuple[int, int, int]:
             nb += na
         else:
             na += nb
-    S = -(-((3 * max(na, nb)).bit_length() + 1) // 64) * 64
+    S = _slot(3 * max(na, nb))
     U = S * (2 * L + 3)
     a, b = 1 << S * (L + 1), 0
     for g, s in pres.w:
@@ -268,42 +278,97 @@ def _first_row(pres: TwoBridgePresentation) -> tuple[int, int, int]:
     return a, b, S
 
 
-def _unpack(v: int, L: int, S: int) -> dict[tuple[int, int], int]:
-    """The nonzero coefficients, by (i, j), of an entry v packed as in
-    _first_row for a word of length L in S-bit slots: with the bias
-    2^(S-1) in each slot, an XOR with the bias leaves each slot in two's
-    complement, read by one struct.unpack (one repeat count, as struct
-    caches every format) with only the top 64-bit word of a slot signed."""
-    stride, low = 2 * L + 3, L + 1
+def _slots(v: int, S: int) -> Iterator[tuple[int, int]]:
+    """The pairs (k, c), k rising, of the nonzero coefficients c of
+    v = sum c 2^(S k) with |c| < 2^(S-1): with the bias 2^(S-1) in each
+    slot, an XOR with the bias leaves each slot in two's complement,
+    read by one struct.unpack (one repeat count, as struct caches every
+    format) with only the top 64-bit word of a slot signed."""
     w, n = S // 64, v.bit_length() // S + 2
     bias = ((1 << S * n) - 1) // ((1 << S) - 1) << (S - 1)
     words = struct.unpack("<%dq" % (w * n), ((v + bias) ^ bias).to_bytes(8 * w * n, "little"))
     coeffs = words[w - 1::w]
     for e in range(w - 2, -1, -1):
         coeffs = list(map(or_, map(lshift, coeffs, repeat(64)), map(and_, words[e::w], repeat(2**64 - 1))))
-    return {(k % stride - low, k // stride): coeffs[k] for k in compress(range(n), coeffs)}
+    return zip(compress(range(n), coeffs), filter(None, coeffs))
+
+
+def _unpack(v: int, L: int, S: int) -> dict[tuple[int, int], int]:
+    """The nonzero coefficients, by (i, j), of an entry v packed as in
+    _first_row for a word of length L in S-bit slots."""
+    stride, low = 2 * L + 3, L + 1
+    return {(k % stride - low, k // stride): c for k, c in _slots(v, S)}
+
+
+def _chebyshev(sym: BivariatePoly) -> tuple[dict[tuple[int, int], int], int]:
+    """sym, symmetric under t <-> 1/t, as a polynomial in x = t + 1/t
+    with coefficients polynomial in u: its nonzero coefficients by
+    (x-exponent, u-exponent), and the slot width S used.
+
+    Each column c_k(u), the coefficient of t^k (k >= 0), is packed with
+    u^j in the S-bit slot j, and x is a shift by one u-row of U slots
+    (layout: x slow, u fast). Clenshaw's recurrence
+    b_k = c_k + x b_(k+1) - b_(k+2), k = K .. 1, then gives
+    sum c_k V_k = c_0 + x b_1 - 2 b_2 (V_0 = 2, V_1 = x,
+    V_k = x V_(k-1) - V_(k-2)). Every step is exact on ints, so only the
+    result must fit its slots: its coefficients are at most
+    ||sym||_1 F_(K+2), as V_k (k >= 1) has 1-norm the Lucas number
+    L_k <= F_(k+2).
+    """
+    K, U = sym.max_first(), sym.degree_second() + 1
+    fib, nxt = 0, 1
+    for _ in range(K + 2):
+        fib, nxt = nxt, fib + nxt
+    S = _slot(sum(map(abs, sym.terms.values())) * fib)
+    columns = [0] * (K + 1)
+    for (i, j), c in sym.terms.items():
+        if i >= 0:
+            columns[i] += c << S * j
+    X = S * U
+    b1 = b2 = 0
+    for c in reversed(columns[1:]):
+        b1, b2 = c + (b1 << X) - b2, b1
+    return {divmod(k, U): c for k, c in _slots(columns[0] + (b1 << X) - 2 * b2, S)}, S
 
 
 def _symmetrize(phi: BivariatePoly) -> tuple[int, BivariatePoly]:
     """The l with t^l * phi symmetric under t <-> 1/t (it spans -k..k in t,
     so l = -(lowest + highest)/2), and t^l * phi as a polynomial in
-    x = t + 1/t with coefficients polynomial in u."""
+    x = t + 1/t with coefficients polynomial in u, by _chebyshev."""
     lo, hi = phi.min_first(), phi.max_first()
     l = -(lo + hi) // 2
     sym = phi.shift_first(l)
     if sym != sym.mirror_first():  # also when lo + hi is odd
         raise RuntimeError("no power of t symmetrizes phi; not a valid input")
-    columns: dict[int, dict[tuple[int, int], int]] = {}
-    for (i, j), c in sym.terms.items():
-        if i >= 0:
-            columns.setdefault(i, {})[(0, j)] = c
-    out = BivariatePoly._wrap(columns.get(0, {}))
-    v_prev, v = BivariatePoly.constant(2), BivariatePoly.first_var(1)  # V_(k-1), V_k
-    for k in range(1, sym.max_first() + 1):
-        if k in columns:
-            out = out + v * BivariatePoly._wrap(columns[k])
-        v_prev, v = v, v.shift_first(1) - v_prev
-    return l, out
+    return l, BivariatePoly._wrap(_chebyshev(sym)[0])
+
+
+def _substitute_u(phi_xu: BivariatePoly, sign: int) -> tuple[dict[tuple[int, int], int], int]:
+    """sign * phi_xu(x, y - x^2 + 2): its nonzero coefficients by
+    (x-exponent, y-exponent), and the slot width S used.
+
+    Each row Phi_j(x), the coefficient of u^j, is packed with x^i in the
+    S-bit slot i, and y is a shift by one x-row of X = max(i + 2j) + 1
+    slots (layout: y slow, x fast), the x-degree bound of the result.
+    Horner's rule out <- out (y - x^2 + 2) + Phi_j, from the top j down,
+    is two shifts and three adds per power of u. Every step is exact on
+    ints, so only the result must fit its slots: its coefficients are at
+    most sum ||Phi_j||_1 4^j, as (y - x^2 + 2)^j has 1-norm 4^j.
+    """
+    top = phi_xu.degree_second()
+    X = max((i + 2 * j for i, j in phi_xu.terms), default=0) + 1
+    norms = [0] * (top + 1)
+    for (_, j), c in phi_xu.terms.items():
+        norms[j] += abs(c)
+    S = _slot(sum(n << 2 * j for j, n in enumerate(norms)))
+    rows = [0] * (top + 1)
+    for (i, j), c in phi_xu.terms.items():
+        rows[j] += c << S * i
+    Y = S * X
+    out = 0
+    for row in reversed(rows):
+        out = (out << Y) - (out << 2 * S) + 2 * out + row
+    return {(k % X, k // X): c for k, c in _slots(sign * out, S)}, S
 
 
 @dataclass(frozen=True)
@@ -323,13 +388,10 @@ def riley_polynomial(pres: TwoBridgePresentation) -> RileyData:
     a, b, S = _first_row(pres)
     phi = BivariatePoly._wrap(_unpack(a + (b >> S) - (b << S), len(pres.w), S))
     l, phi_xu = _symmetrize(phi)
-    x = BivariatePoly.first_var(1)
-    y = BivariatePoly.second_var()
-    psi0 = phi_xu.substitute_second(y - x * x + 2)
-    sign = -1 if psi0.coeff_of_second(psi0.degree_second()) == -1 else 1
-    return RileyData(
-        m=pres.m, n=pres.n, phi=phi, l=l, phi_xu=phi_xu, sign=sign, psi=psi0 * sign
-    )
+    # psi's y-leading coefficient is phi_xu's u-leading one
+    sign = -1 if phi_xu.coeff_of_second(phi_xu.degree_second()) == -1 else 1
+    psi = BivariatePoly._wrap(_substitute_u(phi_xu, sign)[0])
+    return RileyData(m=pres.m, n=pres.n, phi=phi, l=l, phi_xu=phi_xu, sign=sign, psi=psi)
 
 
 class CharacterPoint(NamedTuple):

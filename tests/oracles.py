@@ -154,6 +154,28 @@ def substitute_by_powers(terms, repl):
     return {k: c for k, c in out.items() if c}
 
 
+def chebyshev_by_recursion(terms):
+    """A {(k, j): c} dict for c * t^k * u^j, symmetric under k -> -k, as
+    {(i, j): c} for c * x^i * u^j with x = t + 1/t: the column of t^0,
+    plus each column of t^k (k >= 1) times V_k(x), where V_0 = 2,
+    V_1 = x and V_k = x V_(k-1) - V_(k-2), each V_k built from the two
+    before it."""
+    columns = {}
+    for (k, j), c in terms.items():
+        if k >= 0:
+            columns.setdefault(k, {})[(0, j)] = c
+    out = dict(columns.get(0, {}))
+    v_prev, v = {(0, 0): 2}, {(1, 0): 1}  # V_(k-1), V_k
+    for k in range(1, max(columns, default=0) + 1):
+        for key, c in bivariate_product(v, columns.get(k, {})).items():
+            out[key] = out.get(key, 0) + c
+        nxt = {(i + 1, j): c for (i, j), c in v.items()}
+        for key, c in v_prev.items():
+            nxt[key] = nxt.get(key, 0) - c
+        v_prev, v = v, {key: c for key, c in nxt.items() if c}
+    return {key: c for key, c in out.items() if c}
+
+
 def riley_rows(m, n):
     """The entries (W_11, W_12, W_21, W_22) of W = C^eps1 D^eps2 C^eps3 ...
     over Z[t^+-1, u], C = [[t, 1], [0, 1/t]], D = [[t, 0], [u, 1/t]], as

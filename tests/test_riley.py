@@ -4,7 +4,9 @@ The character-scheme enumeration is cross-checked against the
 representation-existence scan in oracles.py, which shares no code with
 the library, and against a point-by-point evaluation of Psi at larger
 primes. The F_p root finder, Horner substitution and the monomial
-product are checked against brute force and the old formulas.
+product are checked against brute force and the old formulas, and the
+packed coordinate changes phi -> phi_xu -> psi against the dict
+recursion in V_k and the substitution by powers.
 """
 
 import math
@@ -13,7 +15,15 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import bivariate_product, char_points_by_x, psi_scan, rep_scan, riley_rows, substitute_by_powers
+from oracles import (
+    bivariate_product,
+    char_points_by_x,
+    chebyshev_by_recursion,
+    psi_scan,
+    rep_scan,
+    riley_rows,
+    substitute_by_powers,
+)
 from twobridge import riley
 from twobridge.deformations import Representation
 from twobridge.laurent import _poly_divmod
@@ -22,9 +32,11 @@ from twobridge.padics import Zp
 from twobridge.presentations import two_bridge
 from twobridge.riley import (
     BivariatePoly,
+    _chebyshev,
     _first_row,
     _residue_power,
     _roots_modp,
+    _substitute_u,
     _symmetrize,
     _unpack,
     build_modp_rep,
@@ -161,6 +173,82 @@ def test_packed_slot_width_at_256_bits(m, n):
     top = max(abs(c) for e in entries for c in e.values())
     assert S > top.bit_length() + 1, (m, n)
     assert S == _slot(m)
+
+
+# u -> y - x^2 + 2, as {(i, j): c} for c * x^i * y^j
+U_IN_XY = {(0, 1): 1, (2, 0): -1, (0, 0): 2}
+
+
+def _assert_coordinate_changes_match(terms, sign, l=0):
+    """_symmetrize on t^-l times the symmetric terms, and _substitute_u
+    with the given sign on its result, against the dict oracles, with
+    each slot wider than the largest coefficient plus a sign bit; returns
+    the two slot widths."""
+    sym = BivariatePoly(terms)
+    got_l, phi_xu = _symmetrize(sym.shift_first(-l))
+    xu_terms, S_xu = _chebyshev(sym)
+    assert got_l == (l if sym.terms else 0)  # every l symmetrizes 0, and 0 is taken
+    assert phi_xu.terms == xu_terms == chebyshev_by_recursion(sym.terms)
+    psi_terms, S_psi = _substitute_u(phi_xu, sign)
+    assert psi_terms == {k: sign * c for k, c in substitute_by_powers(phi_xu.terms, U_IN_XY).items()}
+    for got, S in ((xu_terms, S_xu), (psi_terms, S_psi)):
+        assert S > max((abs(c) for c in got.values()), default=0).bit_length() + 1
+    return S_xu, S_psi
+
+
+# both sides of each step of the slot widths of phi_xu and psi, as
+# (m, n): (phi_xu slot, psi slot); the first n below -m/3 steps later
+COORDINATE_STEPS = {
+    (45, 1): (64, 64),
+    (47, 1): (128, 128),
+    (47, -17): (64, 64),
+    (49, -19): (64, 128),  # psi's slot steps alone
+    (55, -21): (64, 128),
+    (57, -23): (128, 128),  # phi_xu's slot steps alone
+    (91, 1): (128, 128),
+    (93, 1): (192, 192),
+    (137, 1): (192, 192),
+    (139, 1): (256, 256),
+}
+COORDINATE_KNOTS = [(m, _coprime_ns(m)) for m in range(3, 52, 2)]
+COORDINATE_KNOTS += [(m, [n]) for m, n in COORDINATE_STEPS if m > 51]
+
+
+@pytest.mark.parametrize("m, ns", COORDINATE_KNOTS, ids=[str(m) for m, _ in COORDINATE_KNOTS])
+def test_packed_coordinate_changes_match_the_dict_oracles(m, ns):
+    for n in ns:
+        data = riley_polynomial(two_bridge(m, n))
+        slots = _assert_coordinate_changes_match(data.phi.shift_first(data.l).terms, data.sign, data.l)
+        assert BivariatePoly(substitute_by_powers(data.phi_xu.terms, U_IN_XY)) * data.sign == data.psi
+        assert slots == COORDINATE_STEPS.get((m, n), slots), (m, n)
+
+
+@st.composite
+def _symmetric_and_signed(draw):
+    """(terms, sign, l): a polynomial in t^(+-1) and u, symmetric under
+    t <-> 1/t, with coefficients of up to about e bits (e drawn in
+    0-200, so that the slots of both stages run from 64 to 256 bits), a
+    sign and a shift."""
+    e = draw(st.integers(0, 200))
+    # near +-2^e as often as anywhere in between, which alone draws small values
+    coeffs = st.integers(-(2**e), 2**e) | st.integers(2**e - 2**16, 2**e) | st.integers(-(2**e), 2**16 - 2**e)
+    columns = draw(st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 5)), coeffs, max_size=20))
+    terms = dict(columns)
+    terms.update({(-k, j): c for (k, j), c in columns.items()})
+    return terms, draw(st.sampled_from([1, -1])), draw(st.integers(-4, 4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_symmetric_and_signed())
+@example(({}, 1, 0))
+@example(({(0, 0): -1}, -1, 1))
+@example(({(8, 5): 2**200, (-8, 5): 2**200, (0, 0): -(2**200)}, 1, 0))
+@example(({(k, j): (-1) ** ((k + j) % 2) * 2**200 for k in range(-8, 9) for j in range(6)}, -1, -3))
+def test_packed_coordinate_changes_match_on_random_polynomials(case):
+    # signed coefficients of up to 200 bits: the borrow across slots and the
+    # bias of the decoder at 64-bit to 256-bit slots
+    terms, sign, l = case
+    _assert_coordinate_changes_match(terms, sign, l)
 
 
 @pytest.mark.parametrize("mn", [(3, 1), (5, 3), (7, 3), (9, 5), (3, -1), (31, -9), (47, -15)])

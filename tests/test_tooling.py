@@ -69,11 +69,15 @@ def test_tracer_counts_the_riley_kernels(capsys):
     finally:
         tracer.uninstall()
     assert capsys.readouterr().out.count("{") >= 2
-    for name in ("riley_polynomial", "substitute_second", "bivariate_mul", "char_points"):
+    for name in ("riley_polynomial", "char_points"):
         assert tracer.counts["riley.%s.calls" % name] > 0, name
     # char_points reduces Psi mod p once, finds its roots in X = x^2 once per y0,
     # and never evaluates it point by point
     assert tracer.counts["riley.eval_modp.calls"] == 0
+    # the coordinate changes phi -> phi_xu -> psi run on packed ints, and the
+    # sign of psi is applied there: no polynomial substitution or product
+    assert tracer.counts["riley.substitute_second.calls"] == 0
+    assert tracer.counts["riley.bivariate_mul.calls"] == 0
     # the first row of the Riley word matrix is built letter by letter, not by
     # the generic word product
     assert tracer.counts["matrices.word_matrix.calls"] == 0
