@@ -1,6 +1,6 @@
 """Twisted chain complexes of 2-bridge presentations: twisted Alexander
-invariants, Fitting ideals, the L-function normal form, and adjoint
-cohomology dimensions.
+invariants, the L-function and Delta_0(H_0) as gcd normal forms of
+2-minors, and adjoint cohomology dimensions.
 
 Chain conventions for <g1,...,gn | r1,...,r_{n-1}> with a representation
 rho of degree 2. Both boundary maps are returned as their presentation
@@ -36,8 +36,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .groupring import GroupRingElement
-from .laurent import LaurentPoly, divide_exact, eq_up_to_unit, laurent_gcd
-from .matrices import Mat2, det_general, mat_identity, mat_mul_modp, mat_sub_modp, rank_modp
+from .laurent import LaurentPoly, divide_exact, eq_up_to_unit
+from .matrices import Mat2, mat_identity, mat_mul_modp, mat_sub_modp, rank_modp
 from .padics import (
     DivisorNormalForm,
     Indeterminate,
@@ -198,11 +198,10 @@ def twisted_alexander(pres: TwoBridgePresentation, rep) -> TwistedAlexander:
     ring = rep.ring
     if not isinstance(ring, Zp):
         raise TypeError("twisted_alexander needs PadicInt matrix entries")
-    zero = LaurentPoly.zero(ring)
     results = []
     for i in (1, 2):
         den = _alexander_denominator(rep, i)
-        num = det_general(_phi_matrix(rep, pres.fox[2 - i], ring).rows(), zero)  # dr/dg_{3-i}
+        num = _phi_matrix(rep, pres.fox[2 - i], ring).det()  # dr/dg_{3-i}
         quot = divide_exact(num, den)
         results.append(AlexanderResult(deleted_index=i, numerator=num, denominator=den, quotient=quot))
     ra, rb = results
@@ -226,14 +225,6 @@ class TorsionReport:
     witness_det: PadicInt | None
     delta_at_one: PadicInt | None
     holds: bool
-
-    def to_json(self) -> dict:
-        return {
-            "witness": str(self.witness) if self.witness else None,
-            "witness_det": str(self.witness_det) if self.witness_det is not None else None,
-            "delta_at_one": str(self.delta_at_one) if self.delta_at_one is not None else None,
-            "holds": self.holds,
-        }
 
     @classmethod
     def from_results(cls, witness: tuple, delta_at_one: PadicInt | None) -> TorsionReport:
@@ -276,98 +267,41 @@ def torsion_criterion(pres: TwoBridgePresentation, rep) -> TorsionReport:
     return TorsionReport.from_results(torsion_witness(rep), delta1)
 
 
-# --- Fitting ideals -------------------------------------------------------
+# --- the L-function and Delta_0 -------------------------------------------
 
 
 @dataclass(frozen=True)
 class FittingResult:
-    """E_d of a presentation matrix (generators = rows).
+    """The 2-minors of a presentation matrix and their gcd normal form
+    p^mu T^lam."""
 
-    kind is "unit" (d >= #rows), "zero" (#rows - d > #cols), or
-    "proper"; for proper ideals the minors are listed in lexicographic
-    (row-combination, column-combination) order.
-    """
-
-    d: int
-    kind: str
-    minors: tuple
-    normal_form: object | None
-
-    @property
-    def certified_unit(self) -> bool:
-        """A certified unit normal form; only proper ideals carry one."""
-        nf = self.normal_form
-        return isinstance(nf, DivisorNormalForm) and nf.is_unit_form() and nf.certified
-
-
-def fitting_minors(rows: Sequence[Sequence], d: int) -> FittingResult:
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    if d >= n:
-        return FittingResult(d=d, kind="unit", minors=(), normal_form=None)
-    k = n - d
-    if k > m:
-        return FittingResult(d=d, kind="zero", minors=(), normal_form=None)
-    zero = rows[0][0] * 0
-    minors = []
-    for rsel in combinations(range(n), k):
-        for csel in combinations(range(m), k):
-            sub = [[rows[i][j] for j in csel] for i in rsel]
-            minors.append(det_general(sub, zero))
-    return FittingResult(d=d, kind="proper", minors=tuple(minors), normal_form=None)
-
-
-def fitting_delta(rows: Sequence[Sequence], d: int) -> FittingResult:
-    """Minors plus their gcd normal form.
-
-    PadicSeries entries give a DivisorNormalForm; LaurentPoly entries
-    over F_p give a monic Laurent gcd; PadicInt entries give a
-    DivisorNormalForm with lam = 0.
-    """
-    res = fitting_minors(rows, d)
-    if res.kind != "proper":
-        return res
-    sample = res.minors[0]
-    if isinstance(sample, PadicSeries):
-        nf = gcd_normal_form(res.minors)
-    elif isinstance(sample, LaurentPoly):
-        nf = laurent_gcd(list(res.minors))
-    elif isinstance(sample, PadicInt):
-        vals = [m.valuation() for m in res.minors]
-        mu = min(vals)
-        if mu >= sample.ring.N:
-            raise Indeterminate("all minors vanish at precision p^N")
-        nf = DivisorNormalForm(mu=mu, lam=0, certified=True)
-    else:
-        raise TypeError("unsupported entry type %r" % type(sample))
-    return FittingResult(d=res.d, kind="proper", minors=res.minors, normal_form=nf)
-
-
-# --- the L-function -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LFunctionResult:
     minors: tuple[PadicSeries, ...]
     normal_form: DivisorNormalForm
 
-    def to_json(self) -> dict:
-        return {
-            "normal_form": self.normal_form.to_json(),
-            "minors": [m.to_json()["coeffs"] for m in self.minors],
-        }
+    @property
+    def certified_unit(self) -> bool:
+        return self.normal_form.is_unit_form() and self.normal_form.certified
 
 
-def l_function(pres: TwoBridgePresentation, rep) -> LFunctionResult:
-    """Delta_2 of the cokernel presented by boundary2: the gcd normal
-    form p^mu T^lam of its six 2-minors."""
-    res = fitting_delta(boundary2(pres, rep), d=2)
-    return LFunctionResult(minors=res.minors, normal_form=res.normal_form)
+def _two_minors(vectors: Sequence[Sequence[PadicSeries]]) -> FittingResult:
+    """u0 v1 - u1 v0 over the pairs (u, v) of 2-vectors in lexicographic
+    order, and the gcd normal form of these minors."""
+    if not isinstance(vectors[0][0], PadicSeries):
+        raise TypeError("the 2-minor ideals need PadicSeries entries, not %s" % type(vectors[0][0]).__name__)
+    minors = tuple(u[0] * v[1] - u[1] * v[0] for u, v in combinations(vectors, 2))
+    return FittingResult(minors=minors, normal_form=gcd_normal_form(minors))
+
+
+def l_function(pres: TwoBridgePresentation, rep) -> FittingResult:
+    """Delta_2 of the cokernel presented by boundary2 (4 x 2): the gcd
+    normal form p^mu T^lam of its six 2-minors, one per pair of rows."""
+    return _two_minors(boundary2(pres, rep))
 
 
 def delta0_h0(pres: TwoBridgePresentation, rep) -> FittingResult:
-    """Delta_0 of H_0, presented by boundary1 (2 generators, 4 relations)."""
-    return fitting_delta(boundary1(pres, rep), d=0)
+    """Delta_0 of H_0, presented by boundary1 (2 x 4): the six 2-minors,
+    one per pair of columns."""
+    return _two_minors(list(zip(*boundary1(pres, rep))))
 
 
 # --- consistency of the vanishing/non-vanishing dichotomy ---------------
@@ -387,17 +321,9 @@ class VanishingReport:
     residual_delta_at_one: PadicInt
     consistent: bool
 
-    def to_json(self) -> dict:
-        return {
-            "delta0_unit": self.delta0_unit,
-            "l": self.l_form.to_json(),
-            "residual_delta_at_one": str(self.residual_delta_at_one),
-            "consistent": self.consistent,
-        }
-
     @classmethod
     def from_results(
-        cls, d0: FittingResult, lres: LFunctionResult, residual_tors: TorsionReport
+        cls, d0: FittingResult, lres: FittingResult, residual_tors: TorsionReport
     ) -> VanishingReport:
         """The dichotomy checked on delta0_h0 and l_function of the family
         and on the torsion report of its residual representation."""

@@ -129,17 +129,3 @@ def rank_modp(rows: Sequence[Sequence[int]], p: int) -> int:
             break
     return rank
 
-
-def det_general(rows: Sequence[Sequence], zero) -> object:
-    """Exact determinant by Laplace expansion; fine for tiny matrices."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = zero
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * det_general(minor, zero)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc

@@ -1,14 +1,18 @@
 """Independent brute-force oracles shared by the test suite.
 
 Everything here is self-contained on purpose: no imports from the
-package under test, plain integer arithmetic only. The character-scheme
-scan decides membership of (x0, y0) by exhibiting an actual pair of
-2x2 matrices over F_p[z]/(z^2 - x0 z + 1) and checking the single group
-relation, rather than by evaluating any polynomial produced by the
-library. psi_scan does evaluate a given Psi, point by point, so it
-checks only how the points of that Psi are found; char_points_by_x finds
-them one x0 at a time with a root finder it is given.
+package under test, plain integer arithmetic only (k_minors alone takes
+whatever entries it is given, and uses only their + - *). The
+character-scheme scan decides membership of (x0, y0) by exhibiting an
+actual pair of 2x2 matrices over F_p[z]/(z^2 - x0 z + 1) and checking
+the single group relation, rather than by evaluating any polynomial
+produced by the library. psi_scan does evaluate a given Psi, point by
+point, so it checks only how the points of that Psi are found;
+char_points_by_x finds them one x0 at a time with a root finder it is
+given.
 """
+
+from itertools import combinations
 
 
 def epsilon_oracle(m, n):
@@ -84,6 +88,28 @@ def series_product(a, b, modulus, D):
     a = list(a) + [0] * (D + 1 - len(a))
     b = list(b) + [0] * (D + 1 - len(b))
     return [sum(a[i] * b[k - i] for i in range(k + 1)) % modulus for k in range(D + 1)]
+
+
+def k_minors(rows, k):
+    """Every k x k minor of a matrix, in lexicographic (row-combination,
+    column-combination) order, each by Laplace expansion along its first
+    row."""
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        acc = m[0][0] * det([r[1:] for r in m[1:]])
+        for j in range(1, len(m)):
+            term = m[0][j] * det([r[:j] + r[j + 1 :] for r in m[1:]])
+            acc = acc - term if j % 2 else acc + term
+        return acc
+
+    n, m = len(rows), len(rows[0])
+    return [
+        det([[rows[i][j] for j in csel] for i in rsel])
+        for rsel in combinations(range(n), k)
+        for csel in combinations(range(m), k)
+    ]
 
 
 def psi_scan(terms, p):

@@ -616,6 +616,15 @@ def test_gcd_normal_form_reference_vectors():
     assert (nf.mu, nf.lam, nf.certified) == (0, 0, False)
 
 
+def test_gcd_normal_form_skips_a_zero_input():
+    # the entries of [[T^2, T^3], [0, T^4]]: a minor that vanishes at
+    # precision bounds neither mu nor lam
+    R = ZpT(3, 8, 8)
+    T = R.T
+    nf = gcd_normal_form([T * T, T ** 3, R.zero, T ** 4])
+    assert (nf.mu, nf.lam, nf.certified) == (0, 2, True)
+
+
 def test_gcd_normal_form_indeterminate():
     R = ZpT(5, 4, 6)
     with pytest.raises(Indeterminate):

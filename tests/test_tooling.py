@@ -1,5 +1,6 @@
-"""The benchmark's tracer and the demos, run against the package as it
-stands: a rename inside the package must not silently break either."""
+"""The benchmark's tracer, the demos and the package's exports, run
+against the package as it stands: a rename or a removal inside the
+package must not silently break any of them."""
 
 import importlib.util
 import runpy
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import twobridge
 import twobridge.cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,3 +92,10 @@ def test_tracer_counts_the_riley_kernels(capsys):
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_every_export_resolves():
+    assert [name for name in twobridge.__all__ if not hasattr(twobridge, name)] == []
+    namespace = {}
+    exec("from twobridge import *", namespace)
+    assert set(twobridge.__all__) <= namespace.keys()
