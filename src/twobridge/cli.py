@@ -199,83 +199,70 @@ def cmd_verify_example(args) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+_MN = (("--m", {"type": int, "required": True}), ("--n", {"type": int, "required": True}))
+_PREC = (
+    ("--prec", {"type": int, "default": 8, "metavar": "N", "help": "p-adic precision (default 8)"}),
+    ("--deg", {"type": int, "default": 8, "metavar": "D", "help": "series truncation degree (default 8)"}),
+)
+_EXAMPLE = (("--example", {"required": True, "choices": sorted(FAMILY_TO_ID)}), *_PREC)
+
+# name -> (help, arguments before --json, handler), in the order --help lists them
+COMMANDS = {
+    "presentation": ("epsilon sequence, w and relator of B(m, n)", _MN, cmd_presentation),
+    "fox": (
+        "free derivative of a word",
+        (
+            ("--word", {"required": True, "help": 'e.g. "g1 g2^-1 g1"'}),
+            ("--gen", {"type": int, "required": True, "help": "generator index (1-based)"}),
+        ),
+        cmd_fox,
+    ),
+    "riley": ("Riley polynomial of B(m, n) in all coordinate systems", _MN, cmd_riley),
+    "char-points": (
+        "F_p points of the character scheme",
+        (*_MN, ("--p", {"type": int, "required": True})),
+        cmd_char_points,
+    ),
+    "lift": ("universal deformation matrices and certificate", _EXAMPLE, cmd_lift),
+    "talex": ("twisted Alexander invariant of the residual representation", _EXAMPLE, cmd_talex),
+    "lfunction": ("gcd normal form of the six second-boundary minors", _EXAMPLE, cmd_lfunction),
+    "cohomology": ("adjoint cohomology dimensions of the residual representation", _EXAMPLE, cmd_cohomology),
+    "verify-example": (
+        "full pipeline against the reference values",
+        (("--id", {"required": True, "choices": list(EXAMPLE_IDS)}), *_PREC),
+        cmd_verify_example,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only the subparser of command when it names one,
+    else with every subparser."""
     parser = argparse.ArgumentParser(
         prog="twobridge",
         description="Exact arithmetic for 2-bridge knot groups: Fox calculus, "
         "Riley polynomials, p-adic deformations, twisted Alexander invariants "
         "and L-function normal forms.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # an error after the subcommand prints the top-level usage, which lists
+    # every subcommand; on the full path the default metavar does so, and a
+    # metavar there would change the "required" and "invalid choice" errors
+    extra = {"metavar": "{%s}" % ",".join(COMMANDS)} if len(names) == 1 else {}
+    sub = parser.add_subparsers(dest="command", required=True, **extra)
+    for name in names:
+        help_text, arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    def add_prec(p):
-        p.add_argument("--prec", type=int, default=8, metavar="N", help="p-adic precision (default 8)")
-        p.add_argument("--deg", type=int, default=8, metavar="D", help="series truncation degree (default 8)")
-
-    p = sub.add_parser("presentation", help="epsilon sequence, w and relator of B(m, n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_presentation)
-
-    p = sub.add_parser("fox", help="free derivative of a word")
-    p.add_argument("--word", required=True, help='e.g. "g1 g2^-1 g1"')
-    p.add_argument("--gen", type=int, required=True, help="generator index (1-based)")
-    add_json(p)
-    p.set_defaults(func=cmd_fox)
-
-    p = sub.add_parser("riley", help="Riley polynomial of B(m, n) in all coordinate systems")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_riley)
-
-    p = sub.add_parser("char-points", help="F_p points of the character scheme")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_char_points)
-
-    p = sub.add_parser("lift", help="universal deformation matrices and certificate")
-    p.add_argument("--example", required=True, choices=sorted(FAMILY_TO_ID))
-    add_prec(p)
-    add_json(p)
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("talex", help="twisted Alexander invariant of the residual representation")
-    p.add_argument("--example", required=True, choices=sorted(FAMILY_TO_ID))
-    add_prec(p)
-    add_json(p)
-    p.set_defaults(func=cmd_talex)
-
-    p = sub.add_parser("lfunction", help="gcd normal form of the six second-boundary minors")
-    p.add_argument("--example", required=True, choices=sorted(FAMILY_TO_ID))
-    add_prec(p)
-    add_json(p)
-    p.set_defaults(func=cmd_lfunction)
-
-    p = sub.add_parser("cohomology", help="adjoint cohomology dimensions of the residual representation")
-    p.add_argument("--example", required=True, choices=sorted(FAMILY_TO_ID))
-    add_prec(p)
-    add_json(p)
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("verify-example", help="full pipeline against the reference values")
-    p.add_argument("--id", required=True, choices=list(EXAMPLE_IDS))
-    add_prec(p)
-    add_json(p)
-    p.set_defaults(func=cmd_verify_example)
-
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -25,7 +25,7 @@ orientation, and reads its named parameters off c: u = x^2 - 3 + 8c
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matrices import Mat2
 from .padics import PadicInt, PadicSeries, Zp, ZpT, hensel_root, poly_eval, sqrt_positive
@@ -204,8 +204,7 @@ class Representation:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class DeformationFamily:
+class DeformationFamily(NamedTuple):
     key: str
     pres: TwoBridgePresentation
     p: int
@@ -348,8 +347,7 @@ def build_family(
 # --- specialization -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Specialization:
+class Specialization(NamedTuple):
     """A family evaluated at a center x = x_value with T = x_value - alpha
     in the maximal ideal; exact, since PadicSeries.specialize raises
     Indeterminate unless (D+1) val(t0) >= N."""
@@ -380,8 +378,7 @@ def specialize_family(fam: DeformationFamily, x_rat: int) -> Specialization:
 # --- universality certificate --------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Checks that a family is the universal deformation of its residual
     representation restricted to trace functions:
 
@@ -458,14 +455,12 @@ def universality_certificate(fam: DeformationFamily) -> Certificate:
 # --- trace axioms ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: str
     words: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Sampled verification that w -> tr rho(w) is a trace function of a
     2-dimensional pseudo-representation."""
 

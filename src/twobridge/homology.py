@@ -31,9 +31,8 @@ determinant det(rho(w) - I) = 2 - tr rho(w), and Ad(g) on sl2 (_ad3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .groupring import GroupRingElement
 from .laurent import LaurentPoly, divide_exact, eq_up_to_unit
@@ -116,8 +115,7 @@ def chain_contraction(pres: TwoBridgePresentation, rep) -> Mat2:
 # --- twisted Alexander invariant ----------------------------------------
 
 
-@dataclass(frozen=True)
-class AlexanderResult:
+class AlexanderResult(NamedTuple):
     """Numerator, denominator and (when exact) their quotient for one
     choice of deleted generator index."""
 
@@ -151,8 +149,7 @@ class AlexanderResult:
         return out
 
 
-@dataclass(frozen=True)
-class TwistedAlexander:
+class TwistedAlexander(NamedTuple):
     results: tuple[AlexanderResult, ...]
 
     def primary(self) -> AlexanderResult:
@@ -217,8 +214,7 @@ def twisted_alexander(pres: TwoBridgePresentation, rep) -> TwistedAlexander:
 # --- torsion criterion ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(NamedTuple):
     """Certificate that H1 with universal coefficients is torsion."""
 
     witness: FreeWord | None
@@ -270,8 +266,7 @@ def torsion_criterion(pres: TwoBridgePresentation, rep) -> TorsionReport:
 # --- the L-function and Delta_0 -------------------------------------------
 
 
-@dataclass(frozen=True)
-class FittingResult:
+class FittingResult(NamedTuple):
     """The 2-minors of a presentation matrix and their gcd normal form
     p^mu T^lam."""
 
@@ -307,8 +302,7 @@ def delta0_h0(pres: TwoBridgePresentation, rep) -> FittingResult:
 # --- consistency of the vanishing/non-vanishing dichotomy ---------------
 
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(NamedTuple):
     """Cross-check of L against the residual Alexander value at t=1.
 
     With Delta_0(H_0) a unit: L not a unit forces the residual
@@ -374,8 +368,7 @@ def _ad_of_elt(rep, elt: GroupRingElement, p: int) -> list[list[int]]:
     return acc
 
 
-@dataclass(frozen=True)
-class CohomologyDims:
+class CohomologyDims(NamedTuple):
     h0: int
     h1: int
     h2: int

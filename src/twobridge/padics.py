@@ -34,8 +34,7 @@ one residual and no inversion.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class NonUnit(ArithmeticError):
@@ -621,8 +620,7 @@ def hensel_root(coeffs: Sequence, seed):
 # --- divisor normal forms ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivisorNormalForm:
+class DivisorNormalForm(NamedTuple):
     """The monomial p^mu * T^lam, plus a certification flag.
 
     certified=True means some input series realizes both extremes at

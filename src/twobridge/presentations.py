@@ -8,7 +8,6 @@ given by the epsilon sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .groupring import GroupRingElement, fox_derivative
@@ -31,15 +30,26 @@ def epsilon_sequence(m: int, n: int) -> tuple[int, ...]:
     return tuple(-1 if ((i * n) // m) % 2 else 1 for i in range(1, m))
 
 
-@dataclass(frozen=True)
 class TwoBridgePresentation:
-    """<g1, g2 | relator> with relator = w g1 w^-1 g2^-1."""
+    """<g1, g2 | relator> with relator = w g1 w^-1 g2^-1. Immutable; the
+    cached properties below live in its __dict__."""
 
-    m: int
-    n: int
-    epsilon: tuple[int, ...]
-    w: FreeWord
-    relator: FreeWord
+    def __init__(self, m: int, n: int, epsilon: tuple[int, ...], w: FreeWord, relator: FreeWord) -> None:
+        self.__dict__.update(m=m, n=n, epsilon=epsilon, w=w, relator=relator)
+
+    def __setattr__(self, *_):
+        raise AttributeError("TwoBridgePresentation is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.m, self.n, self.epsilon, self.w, self.relator
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @cached_property
     def fox_w(self) -> tuple[GroupRingElement, GroupRingElement]:

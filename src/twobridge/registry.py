@@ -14,8 +14,7 @@ acquires a square factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .deformations import DeformationFamily, Specialization
 from .laurent import LaurentPoly
@@ -125,8 +124,7 @@ def _spec_delta1_rho4(spec: Specialization) -> PadicInt:
     return (nu * nu * (-16) + nu * 160 - 142) * (-2)
 
 
-@dataclass(frozen=True)
-class ExampleSpec:
+class ExampleSpec(NamedTuple):
     """Reference data for one worked example."""
 
     id: str

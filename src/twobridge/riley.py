@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import struct
 from bisect import insort
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import and_, lshift, or_
 from typing import Iterator, NamedTuple
@@ -371,8 +370,7 @@ def _substitute_u(phi_xu: BivariatePoly, sign: int) -> tuple[dict[tuple[int, int
     return {(k % X, k // X): c for k, c in _slots(sign * out, S)}, S
 
 
-@dataclass(frozen=True)
-class RileyData:
+class RileyData(NamedTuple):
     """Riley polynomial of B(m,n) in all three coordinate systems."""
 
     m: int

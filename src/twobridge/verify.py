@@ -12,7 +12,7 @@ polynomial, are computed once and shared by both runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .deformations import (
     DeformationFamily,
@@ -43,8 +43,7 @@ from .riley import char_points
 from .words import FreeWord, gen
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -53,8 +52,7 @@ class CheckRow:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class ResidualStages:
+class ResidualStages(NamedTuple):
     """The stages of run_example that read only the residual
     representation, so do not depend on the precision (N, D); and the
     presentation, which caches its Fox images and Riley polynomial."""
@@ -84,14 +82,37 @@ def residual_stages(fam: DeformationFamily) -> ResidualStages:
     )
 
 
-@dataclass(frozen=True)
 class RunReport:
-    example_id: str
-    N: int
-    D: int
-    rows: tuple[CheckRow, ...]
-    l_form: DivisorNormalForm | None
-    residual: ResidualStages | None = field(default=None, compare=False, repr=False)
+    """The rows of one run at (N, D). residual, the run's ResidualStages,
+    is left out of equality and hashing."""
+
+    __slots__ = ("example_id", "N", "D", "rows", "l_form", "residual")
+
+    def __init__(
+        self,
+        example_id: str,
+        N: int,
+        D: int,
+        rows: tuple[CheckRow, ...],
+        l_form: DivisorNormalForm | None,
+        residual: ResidualStages | None = None,
+    ) -> None:
+        for name, value in zip(self.__slots__, (example_id, N, D, rows, l_form, residual)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("RunReport is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.example_id, self.N, self.D, self.rows, self.l_form
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def ok(self) -> bool:
@@ -237,8 +258,7 @@ def run_example(
 ESCALATION_STEP = 4
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     base: RunReport
     escalated: RunReport
     stable: bool

@@ -1,7 +1,9 @@
 """Command-line contract: subcommands, exit codes, deterministic JSON."""
 
+import argparse
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -303,6 +305,104 @@ def test_exit_code_2_parameter_errors(args):
 def test_exit_code_2_argparse_rejections(args):
     r = run_cli(*args)
     assert r.returncode == 2
+
+
+# the parser's own texts, byte for byte: (argv, exit code, sha256 of
+# stdout + NUL + stderr) at COLUMNS=80, captured on CPython 3.11 with every
+# subparser built on every call
+PARSER_TEXTS = [
+    ("", 2, "8e5f61810498b59359dd9779457b2070c8d7c0c9cf3b74f05e59d6afd530f1de"),
+    ("--help", 0, "f7e73d77f8594b6c69e8da29b5c434f1cd6fc85af77d7e76b6851fb2cfefc4b8"),
+    ("-h riley", 0, "f7e73d77f8594b6c69e8da29b5c434f1cd6fc85af77d7e76b6851fb2cfefc4b8"),
+    ("presentation --help", 0, "d8f63e72a118aa55a941de80a18fde82fc6318085d2defacd885da82a6d7197d"),
+    ("fox --help", 0, "8ff60c22d3f8330dd4b8fda3439cf20ca32d47da8c2db22f68884625028a75a3"),
+    ("riley --help", 0, "7a631be22d795f610bf04d42e712dba2b57c7e72e297f5e67c77f4b84a4ce647"),
+    ("char-points --help", 0, "3a124717ce40e03dfffb9ebbe652a8450568c958e98bce092f1cae160686d382"),
+    ("lift --help", 0, "c0c1fee6f8583afae2ca16b6293af57ee197f3b3175734fb12a645dc1cf555ad"),
+    ("talex --help", 0, "7def53c3984411c8eae83e2eb877c49b163d6e452a8d8fa455216759b9192ef8"),
+    ("lfunction --help", 0, "8ec5b6a63f84a02b0631e7f50b0b29ea5e2e49733d1acd11359561bed27f0c12"),
+    ("cohomology --help", 0, "295671d3f8d0ede32cef12569afd2289025266cb86bb7c191c7740cdbf997802"),
+    ("verify-example --help", 0, "353cfb9e858feab5a13fcdb354418d8b04eb65e4752d626ee486bc824bc895dd"),
+    ("bogus-subcommand", 2, "c0730d27aa469f8833ba6c7108553b558a607826e18794c6b15d7c0b940a8dde"),
+    ("--json riley --m 3 --n 1", 2, "d358e2da6a1b01e79b6866a3885cfa7c4ec6396959ecaf0d0206d101cb40e0f4"),
+    ("riley --m 3 --n 1 extra", 2, "97aa451aea6fe868038b70b877195be19d1762df3820565c694972174e19f3b6"),
+    ("riley --m x --n 1", 2, "f1d64cb51aa164a36fb69ecf1235251e38a1068444ce41dad99a6085d1364ac0"),
+    ("lift --example rho9", 2, "d47dd79314c2bfb10ecb027bc552f3b2d50619690524350f5c486a0ed114475b"),
+    ("verify-example --id 4.5.1 --bad", 2, "51dbb4101e9e410cbe1aeb126ca1c0d1f1d1be6d37dae7d465e6bebb66d77a22"),
+]
+
+
+# argparse's help layout and error wording differ between Python versions
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests captured on CPython 3.11")
+@pytest.mark.parametrize("command,code,digest", PARSER_TEXTS, ids=[c or "(none)" for c, _, _ in PARSER_TEXTS])
+def test_parser_texts_golden(command, code, digest):
+    r = subprocess.run(
+        CLI + command.split(), capture_output=True, timeout=300, env={**os.environ, "COLUMNS": "80"}
+    )
+    assert r.returncode == code
+    assert hashlib.sha256(r.stdout + b"\0" + r.stderr).hexdigest() == digest
+
+
+def _run_main(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", [c for c, _, _ in PARSER_TEXTS], ids=[c or "(none)" for c, _, _ in PARSER_TEXTS])
+def test_one_subparser_prints_what_the_full_parser_prints(command, capsys, monkeypatch):
+    # on any Python: the parser main builds for argv reads the same as the
+    # parser with every subparser
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _run_main(command.split(), capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: full())
+    assert got == _run_main(command.split(), capsys)
+
+
+def _count_parsers(monkeypatch) -> list:
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_main_builds_only_the_invoked_subparser(monkeypatch, capsys):
+    built = _count_parsers(monkeypatch)
+    assert cli.main(["riley", "--m", "7", "--n", "3", "--json"]) == 0
+    assert len(built) == 2
+    assert json.loads(capsys.readouterr().out)["m"] == 7
+
+
+def test_help_builds_every_subparser(monkeypatch, capsys):
+    built = _count_parsers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert len(built) == 1 + len(cli.COMMANDS) == 10
+    out = capsys.readouterr().out
+    assert all(name in out for name in cli.COMMANDS)
+
+
+def test_import_defines_no_dataclass():
+    # the records are NamedTuple or __slots__ classes, so importing the CLI
+    # pulls in neither dataclasses nor the inspect module it imports
+    code = (
+        "import sys\n"
+        "import twobridge.cli\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "assert 'inspect' not in sys.modules\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])

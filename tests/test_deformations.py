@@ -1,7 +1,6 @@
 """Deformation families rho1..rho4: construction invariants,
 certificates, specialization, trace axioms, SL2 sampling."""
 
-import dataclasses
 import random
 
 import pytest
@@ -201,13 +200,9 @@ def test_certificate_flags_each_tampering(key):
     conj_inv = Mat2(fam.ring.one, -tD, fam.ring.zero, fam.ring.one)
     x0, y0 = fam.char_point
     tampered = {
-        "relation_ok": dataclasses.replace(
-            fam, rep=Representation(fam.ring, {1: g1, 2: conj * g2 * conj_inv})
-        ),
-        "residual_ok": dataclasses.replace(
-            fam, expected_residual=(((1, 0), (0, 1)), ((1, 0), (0, 1)))
-        ),
-        "point_ok": dataclasses.replace(fam, char_point=(x0, y0 + 1)),
+        "relation_ok": fam._replace(rep=Representation(fam.ring, {1: g1, 2: conj * g2 * conj_inv})),
+        "residual_ok": fam._replace(expected_residual=(((1, 0), (0, 1)), ((1, 0), (0, 1)))),
+        "point_ok": fam._replace(char_point=(x0, y0 + 1)),
     }
     flags = ("trace_ok", "relation_ok", "residual_ok", "point_ok", "regular")
     for broken, bad in tampered.items():
@@ -225,7 +220,7 @@ def _conjugate_g2_alone(fam):
     conj = Mat2(ring.one, tD, ring.zero, ring.one)
     conj_inv = Mat2(ring.one, -tD, ring.zero, ring.one)
     g1, g2 = fam.rep.matrices[1], fam.rep.matrices[2]
-    return dataclasses.replace(fam, rep=Representation(ring, {1: g1, 2: conj * g2 * conj_inv}))
+    return fam._replace(rep=Representation(ring, {1: g1, 2: conj * g2 * conj_inv}))
 
 
 @pytest.mark.parametrize("N,D", [(8, 8), (12, 12)])
@@ -264,7 +259,7 @@ def test_character_curve_value_is_zero_at_high_precision(key, N, D):
 def test_branch_mismatch_detected():
     fam = FAMILIES["rho1"]
     wrong = (((1, 0), (0, 1)), ((1, 0), (0, 1)))
-    tampered = dataclasses.replace(fam, expected_residual=wrong)
+    tampered = fam._replace(expected_residual=wrong)
     with pytest.raises(BranchMismatch):
         _verify_family(tampered)
 

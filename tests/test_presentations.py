@@ -95,3 +95,17 @@ def test_relator_shape(mn):
     assert pres.relator == pres.w * gen(1) * pres.w.inverse() * gen(2, -1)
     # exponent sums: w has equal signs on odd/even positions by construction
     assert pres.relator.abelianize(2) == (1, -1)
+
+
+def test_presentation_is_immutable_and_compared_by_value():
+    pres = two_bridge(7, 3)
+    fox = pres.fox  # a cached property, kept in the instance __dict__
+    assert pres.fox is fox
+    for name in ("m", "w", "fox", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(pres, name, None)
+    with pytest.raises(AttributeError):
+        del pres.m
+    assert pres == two_bridge(7, 3) and hash(pres) == hash(two_bridge(7, 3))
+    assert pres != two_bridge(7, -3)
+    assert pres != (pres.m, pres.n, pres.epsilon, pres.w, pres.relator)

@@ -99,3 +99,37 @@ def test_every_export_resolves():
     namespace = {}
     exec("from twobridge import *", namespace)
     assert set(twobridge.__all__) <= namespace.keys()
+
+
+# the package's NamedTuple records, by module
+RECORDS = {
+    "deformations": ("DeformationFamily", "Specialization", "Certificate", "AxiomViolation", "AxiomReport"),
+    "homology": (
+        "AlexanderResult",
+        "TwistedAlexander",
+        "TorsionReport",
+        "FittingResult",
+        "VanishingReport",
+        "CohomologyDims",
+    ),
+    "padics": ("DivisorNormalForm",),
+    "registry": ("ExampleSpec",),
+    "riley": ("RileyData", "CharacterPoint"),
+    "verify": ("CheckRow", "ResidualStages", "VerifyReport"),
+}
+
+
+@pytest.mark.parametrize(
+    "module,name", [(m, n) for m, names in RECORDS.items() for n in names], ids=lambda v: v
+)
+def test_record_is_immutable_and_hashed_by_value(module, name):
+    cls = getattr(importlib.import_module("twobridge." + module), name)
+    values = list(range(len(cls._fields)))
+    rec = cls(*values)
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, -1)
+    with pytest.raises(AttributeError):
+        rec.extra = -1
+    assert rec == cls(*values) and hash(rec) == hash(cls(*values))
+    assert rec._replace(**{cls._fields[0]: -1}) != rec

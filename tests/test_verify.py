@@ -1,6 +1,5 @@
 """Example registry and the end-to-end verification reports."""
 
-import dataclasses
 import sys
 
 import pytest
@@ -138,7 +137,7 @@ def test_specialized_zero_at_precision_is_indeterminate_but_mismatch_fails(monke
     with pytest.raises(Indeterminate, match="specialized-alexander-at-1.*N = 2"):
         run_example("4.5.3a", N=2, D=2)
     ex = get_example("4.5.3a")
-    wrong = dataclasses.replace(ex, expected_spec_delta_at_one=lambda spec: spec.rep.one)
+    wrong = ex._replace(expected_spec_delta_at_one=lambda spec: spec.rep.one)
     monkeypatch.setattr("twobridge.verify.get_example", lambda example_id: wrong)
     report = run_example("4.5.3a", N=2, D=2)
     failed = {r.name for r in report.rows if not r.passed}
@@ -210,3 +209,17 @@ def test_verify_example_builds_the_fox_images_once_per_family(monkeypatch):
         assert report.ok
         assert len(built) == 2 and built[0] is not built[1], example_id
         assert {(rep.ring.N, rep.ring.D) for rep in built} == {(8, 8), (12, 12)}, example_id
+
+
+def test_run_report_equality_ignores_residual():
+    base = verify_example("4.5.1").base
+    assert base.residual is not None
+    bare = verify.RunReport(base.example_id, base.N, base.D, base.rows, base.l_form)
+    assert bare.residual is None
+    assert bare == base and hash(bare) == hash(base)
+    assert verify.RunReport(base.example_id, base.N + 1, base.D, base.rows, base.l_form) != base
+    for name in ("rows", "residual", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(base, name, None)
+    with pytest.raises(AttributeError):
+        del base.rows
