@@ -3,7 +3,7 @@
 Exit codes: 0 success / all checks passed; 1 failed verification or
 arithmetic failure (with a distinct message when precision was
 exhausted); 2 parameter errors.  --json emits one deterministic JSON
-document on standard output.
+document on standard output; this module alone shapes it.
 """
 
 from __future__ import annotations
@@ -37,6 +37,36 @@ def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:
 
 def _letters(word) -> list[list[int]]:
     return [[g, s] for g, s in word]
+
+
+def _coeffs(series) -> list[str]:
+    """The coefficients of a p-adic series, constant term first."""
+    return [str(c) for c in series.coeffs]
+
+
+def _matrix(mat) -> list:
+    return [[_coeffs(e) for e in row] for row in mat.rows()]
+
+
+def _laurent(f) -> dict[str, str]:
+    """The coefficients of a Laurent polynomial, keyed by exponent."""
+    return {str(k): str(c) for k, c in sorted(f.coeffs.items())}
+
+
+def _normal_form(nf) -> dict:
+    return {"mu": nf.mu, "lambda": nf.lam, "certified": nf.certified}
+
+
+def _run(run) -> dict:
+    """One run of verify-example at its (N, D)."""
+    return {
+        "example_id": run.example_id,
+        "N": run.N,
+        "D": run.D,
+        "rows": [r._asdict() for r in run.rows],
+        "l": _normal_form(run.l_form),
+        "ok": run.ok,
+    }
 
 
 def cmd_presentation(args) -> int:
@@ -93,7 +123,7 @@ def cmd_char_points(args) -> int:
         "m": args.m,
         "n": args.n,
         "p": args.p,
-        "points": [pt.to_json() for pt in pts],
+        "points": [pt._asdict() for pt in pts],
         "count": len(pts),
     }
 
@@ -112,10 +142,6 @@ def cmd_char_points(args) -> int:
     return 0
 
 
-def _series_json(mat) -> list:
-    return [[e.to_json()["coeffs"] for e in row] for row in mat.rows()]
-
-
 def cmd_lift(args) -> int:
     fam = build_family(args.example, N=args.prec, D=args.deg)
     cert = universality_certificate(fam)
@@ -124,10 +150,10 @@ def cmd_lift(args) -> int:
         "p": fam.p,
         "N": args.prec,
         "D": args.deg,
-        "alpha": fam.alpha.to_json(),
-        "g1": _series_json(fam.rep.matrices[1]),
-        "g2": _series_json(fam.rep.matrices[2]),
-        "certificate": cert.to_json(),
+        "alpha": {"p": fam.alpha.ring.p, "N": fam.alpha.ring.N, "residue": str(fam.alpha)},
+        "g1": _matrix(fam.rep.matrices[1]),
+        "g2": _matrix(fam.rep.matrices[2]),
+        "certificate": {**cert._asdict(), "regular": cert.regular, "ok": cert.ok},
     }
     _emit(args, payload, lambda: [
         "family %s over Z_%d[[T]], T = x - alpha, alpha = %s" % (fam.key, fam.p, fam.alpha),
@@ -148,7 +174,15 @@ def cmd_talex(args) -> int:
     payload = {
         "example": fam.key,
         "p": fam.p,
-        "results": [r.to_json() for r in ta.results],
+        "results": [
+            {
+                "deleted_index": r.deleted_index,
+                "numerator": _laurent(r.numerator),
+                "denominator": _laurent(r.denominator),
+                "quotient": None if r.quotient is None else _laurent(r.quotient),
+            }
+            for r in ta.results
+        ],
         "at_1": str(ta.value_at_one()),
     }
     _emit(args, payload, lambda: [
@@ -163,9 +197,7 @@ def cmd_lfunction(args) -> int:
     fam = build_family(args.example, N=args.prec, D=args.deg)
     lres = l_function(fam.pres, fam.rep)
     nf = lres.normal_form
-    payload = dict(nf.to_json())
-    payload["minors"] = [m.to_json()["coeffs"] for m in lres.minors]
-    payload["example"] = fam.key
+    payload = {**_normal_form(nf), "minors": [_coeffs(m) for m in lres.minors], "example": fam.key}
     _emit(args, payload, lambda: [
         "L = p^%d T^%d (certified=%s) for %s" % (nf.mu, nf.lam, nf.certified, fam.key),
         *("  minor %d: %s" % (k, m) for k, m in enumerate(lres.minors, 1)),
@@ -176,15 +208,19 @@ def cmd_lfunction(args) -> int:
 def cmd_cohomology(args) -> int:
     fam = build_family(args.example, N=args.prec, D=args.deg)
     dims = ad_cohomology(fam.pres, fam.rep.residual())
-    payload = dims.to_json()
-    payload["example"] = fam.key
+    payload = {"h0": dims.h0, "h1": dims.h1, "h2": dims.h2, "example": fam.key}
     _emit(args, payload, lambda: ["h0=%d h1=%d h2=%d for %s" % (dims.h0, dims.h1, dims.h2, fam.key)])
     return 0
 
 
 def cmd_verify_example(args) -> int:
     report = verify_example(args.id, N=args.prec, D=args.deg)
-    payload = report.to_json()
+    payload = {
+        "base": _run(report.base),
+        "escalated": _run(report.escalated),
+        "stable": report.stable,
+        "ok": report.ok,
+    }
 
     def lines():
         yield "example %s at N=%d D=%d" % (args.id, args.prec, args.deg)

@@ -413,20 +413,6 @@ class Certificate(NamedTuple):
             and self.regular
         )
 
-    def to_json(self) -> dict:
-        return {
-            "key": self.key,
-            "trace_ok": self.trace_ok,
-            "relation_ok": self.relation_ok,
-            "residual_ok": self.residual_ok,
-            "point_ok": self.point_ok,
-            "char_point": list(self.char_point),
-            "psi_value": self.psi_value,
-            "psi_derivative": self.psi_derivative,
-            "regular": self.regular,
-            "ok": self.ok,
-        }
-
 
 def universality_certificate(fam: DeformationFamily) -> Certificate:
     trace_ok = all(fam.rep.matrices[i].trace() == fam.trace_series for i in (1, 2))
@@ -470,15 +456,6 @@ class AxiomReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.violation is None
-
-    def to_json(self) -> dict:
-        out = {"checks": dict(self.checks), "ok": self.ok}
-        out["violation"] = (
-            {"axiom": self.violation.axiom, "words": list(self.violation.words)}
-            if self.violation
-            else None
-        )
-        return out
 
 
 def trace_axioms(
@@ -528,7 +505,7 @@ def trace_axioms(
             - (T(a, b) * T(c) + T(b, c) * T(a) + T(a, c) * T(b)),
         ),
     )
-    nonempty = reduced_words(max_len, include_identity=False)
+    nonempty = reduced_words(max_len)
     rng = random.Random(seed)
     checks = {"central": 1}
     checks.update((name, 0) for name, _, _ in identities)

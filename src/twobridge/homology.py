@@ -139,15 +139,6 @@ class AlexanderResult(NamedTuple):
             return eq_up_to_unit(self.quotient, expected)
         return eq_up_to_unit(self.numerator, expected * self.denominator)
 
-    def to_json(self) -> dict:
-        out = {
-            "deleted_index": self.deleted_index,
-            "numerator": self.numerator.to_json()["coeffs"],
-            "denominator": self.denominator.to_json()["coeffs"],
-        }
-        out["quotient"] = self.quotient.to_json()["coeffs"] if self.quotient else None
-        return out
-
 
 class TwistedAlexander(NamedTuple):
     results: tuple[AlexanderResult, ...]
@@ -243,7 +234,7 @@ def torsion_witness(rep) -> tuple[FreeWord | None, PadicInt | None]:
     """The first reduced word g (shortest first) with det(rho(g) - I) != 0,
     and that determinant; (None, None) when every word up to length
     _TORSION_WORD_LEN gives 0."""
-    for w in reduced_words(_TORSION_WORD_LEN, include_identity=False):
+    for w in reduced_words(_TORSION_WORD_LEN):
         d = det_minus_identity(rep, w)
         if not d.is_zero:
             return w, d
@@ -378,9 +369,6 @@ class CohomologyDims(NamedTuple):
     @property
     def euler(self) -> int:
         return self.h0 - self.h1 + self.h2
-
-    def to_json(self) -> dict:
-        return {"h0": self.h0, "h1": self.h1, "h2": self.h2}
 
 
 def ad_cohomology(pres: TwoBridgePresentation, rep) -> CohomologyDims:

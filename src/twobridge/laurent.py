@@ -152,13 +152,6 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return "LaurentPoly(%s ; mod %d^%d)" % (self, self.ring.p, self.ring.N)
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.ring.p,
-            "N": self.ring.N,
-            "coeffs": {str(k): str(c) for k, c in sorted(self.coeffs.items())},
-        }
-
 
 def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     """num / den when the division is exact, else None.

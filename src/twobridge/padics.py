@@ -285,9 +285,6 @@ class PadicInt:
     def __repr__(self) -> str:
         return "PadicInt(%d mod %d^%d)" % (self.r, self.ring.p, self.ring.N)
 
-    def to_json(self) -> dict:
-        return {"p": self.ring.p, "N": self.ring.N, "residue": str(self.r)}
-
 
 class ZpT(metaclass=_Interned):
     """Descriptor of Z/p^N[[T]]/T^(D+1)."""
@@ -523,14 +520,6 @@ class PadicSeries:
     def __repr__(self) -> str:
         return "PadicSeries(%s ; p=%d, N=%d, D=%d)" % (self, self.ring.p, self.ring.N, self.ring.D)
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.ring.p,
-            "N": self.ring.N,
-            "D": self.ring.D,
-            "coeffs": [str(c) for c in self.coeffs],
-        }
-
 
 # --- square roots and Hensel lifting -----------------------------------
 
@@ -639,9 +628,6 @@ class DivisorNormalForm(NamedTuple):
 
     def same_divisor(self, other: "DivisorNormalForm") -> bool:
         return (self.mu, self.lam) == (other.mu, other.lam)
-
-    def to_json(self) -> dict:
-        return {"mu": self.mu, "lambda": self.lam, "certified": self.certified}
 
     def __str__(self) -> str:
         body = "p^%d * T^%d" % (self.mu, self.lam)

@@ -400,9 +400,6 @@ class CharacterPoint(NamedTuple):
     on_abelian_line: bool
     absolutely_irreducible: bool
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 class _Residue:
     """An element of F_p[y]/(h) for a monic h of degree n >= 2: its n

@@ -48,9 +48,6 @@ class CheckRow(NamedTuple):
     passed: bool
     detail: str
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 class ResidualStages(NamedTuple):
     """The stages of run_example that read only the residual
@@ -94,7 +91,7 @@ class RunReport:
         N: int,
         D: int,
         rows: tuple[CheckRow, ...],
-        l_form: DivisorNormalForm | None,
+        l_form: DivisorNormalForm,
         residual: ResidualStages | None = None,
     ) -> None:
         for name, value in zip(self.__slots__, (example_id, N, D, rows, l_form, residual)):
@@ -117,16 +114,6 @@ class RunReport:
     @property
     def ok(self) -> bool:
         return all(r.passed for r in self.rows)
-
-    def to_json(self) -> dict:
-        return {
-            "example_id": self.example_id,
-            "N": self.N,
-            "D": self.D,
-            "rows": [r.to_json() for r in self.rows],
-            "l": self.l_form.to_json() if self.l_form else None,
-            "ok": self.ok,
-        }
 
 
 def run_example(
@@ -267,14 +254,6 @@ class VerifyReport(NamedTuple):
     def ok(self) -> bool:
         return self.base.ok and self.escalated.ok and self.stable
 
-    def to_json(self) -> dict:
-        return {
-            "base": self.base.to_json(),
-            "escalated": self.escalated.to_json(),
-            "stable": self.stable,
-            "ok": self.ok,
-        }
-
 
 def verify_example(example_id: str, N: int = 8, D: int = 8) -> VerifyReport:
     base = run_example(example_id, N=N, D=D)
@@ -282,9 +261,7 @@ def verify_example(example_id: str, N: int = 8, D: int = 8) -> VerifyReport:
         example_id, N=N + ESCALATION_STEP, D=D + ESCALATION_STEP, residual=base.residual
     )
     stable = (
-        base.l_form is not None
-        and escalated.l_form is not None
-        and base.l_form.same_divisor(escalated.l_form)
+        base.l_form.same_divisor(escalated.l_form)
         and base.l_form.certified == escalated.l_form.certified
     )
     return VerifyReport(base=base, escalated=escalated, stable=stable)

@@ -160,11 +160,11 @@ def parse_word(text: str) -> FreeWord:
     return FreeWord.from_runs(runs)
 
 
-def reduced_words(max_len: int, include_identity: bool = True) -> list[FreeWord]:
-    """All reduced words of length <= max_len in g1, g2, shortest first;
-    each length extends the previous one's words, in order, by g1,
-    g1^-1, g2, g2^-1."""
-    words = [FreeWord()] if include_identity else []
+def reduced_words(max_len: int) -> list[FreeWord]:
+    """All nonempty reduced words of length <= max_len in g1, g2,
+    shortest first; each length extends the previous one's words, in
+    order, by g1, g1^-1, g2, g2^-1."""
+    words = []
     frontier = [FreeWord()]
     letters = [gen(1), gen(1, -1), gen(2), gen(2, -1)]
     for _ in range(max_len):

@@ -190,7 +190,7 @@ def test_lift_certificate():
     assert r.returncode == 0
     payload = json.loads(r.stdout)
     assert payload["certificate"]["ok"] is True
-    assert payload["alpha"]["residue"] == "2"
+    assert payload["alpha"] == {"p": 3, "N": 6, "residue": "2"}
     assert len(payload["g1"]) == 2 and len(payload["g1"][0]) == 2
 
 

@@ -1,10 +1,12 @@
 """Deformation families rho1..rho4: construction invariants,
 certificates, specialization, trace axioms, SL2 sampling."""
 
+import json
 import random
 
 import pytest
 
+from twobridge import cli
 from twobridge.deformations import (
     BranchMismatch,
     Representation,
@@ -35,6 +37,13 @@ EXPECTED = {
 }
 
 
+def _lift_certificate(fam, monkeypatch, capsys) -> tuple[int, dict]:
+    """The exit code of lift --json on fam and the certificate it prints."""
+    monkeypatch.setattr(cli, "build_family", lambda *args, **kwargs: fam)
+    code = cli.main(["lift", "--example", fam.key, "--json"])
+    return code, json.loads(capsys.readouterr().out)["certificate"]
+
+
 @pytest.mark.parametrize("key", KEYS)
 def test_family_construction(key):
     fam = FAMILIES[key]
@@ -51,14 +60,14 @@ def test_family_construction(key):
 
 
 @pytest.mark.parametrize("key", KEYS)
-def test_certificate(key):
+def test_certificate(key, monkeypatch, capsys):
     cert = universality_certificate(FAMILIES[key])
     assert cert.ok
     assert cert.psi_value == 0
     assert cert.psi_derivative == EXPECTED[key]["dpsi"]
     assert cert.regular
-    js = cert.to_json()
-    assert js["ok"] is True and js["char_point"] == list(EXPECTED[key]["point"])
+    code, js = _lift_certificate(FAMILIES[key], monkeypatch, capsys)
+    assert code == 0 and js["ok"] is True and js["char_point"] == list(EXPECTED[key]["point"])
 
 
 def test_quadratic_constants():
@@ -191,7 +200,7 @@ def test_dense_product_budget_at_sixty(key, series_products):
 
 
 @pytest.mark.parametrize("key", ["rho1", "rho3"])
-def test_certificate_flags_each_tampering(key):
+def test_certificate_flags_each_tampering(key, monkeypatch, capsys):
     fam = FAMILIES[key]
     g1, g2 = fam.rep.matrices[1], fam.rep.matrices[2]
     # conjugating g2 alone by [[1, T^D], [0, 1]] keeps det, traces and residue
@@ -207,10 +216,11 @@ def test_certificate_flags_each_tampering(key):
     flags = ("trace_ok", "relation_ok", "residual_ok", "point_ok", "regular")
     for broken, bad in tampered.items():
         cert = universality_certificate(bad)
-        js = cert.to_json()
+        code, js = _lift_certificate(bad, monkeypatch, capsys)
         failed = {f for f in flags if not js[f]}
         assert failed == ({"point_ok", "regular"} if broken == "point_ok" else {broken})
-        assert not cert.ok and js["ok"] is False
+        assert failed == {f for f in flags if not getattr(cert, f)}
+        assert not cert.ok and js["ok"] is False and code == 1
 
 
 def _conjugate_g2_alone(fam):
@@ -382,8 +392,6 @@ def test_trace_axioms_detect_corruption():
     )
     assert not bad.ok
     assert bad.violation is not None
-    js = bad.to_json()
-    assert js["ok"] is False and js["violation"]["axiom"] == bad.violation.axiom
 
 
 @pytest.mark.parametrize("max_len", [0, -1])
@@ -407,7 +415,7 @@ def test_representation_matches_word_matrix(name):
     # the prefix-sharing evaluator against products taken from scratch,
     # on fresh caches filled shortest-first and in shuffled order
     rep = _evaluator_reps()[name]
-    words = reduced_words(5)
+    words = [FreeWord()] + reduced_words(5)
     expected = {w: word_matrix(rep.matrices, w, rep.one, rep.zero) for w in words}
     shuffled = list(words)
     random.Random(5).shuffle(shuffled)
@@ -429,7 +437,7 @@ def test_trace_coordinates_match_word_matrix(ring):
     for _ in range(2):
         mats = {1: random_sl2(rng, ring), 2: random_sl2(rng, ring)}
         rep = Representation(ring, mats)
-        words = reduced_words(4)
+        words = [FreeWord()] + reduced_words(4)
         rng.shuffle(words)
         for w in words:
             assert rep(w) == word_matrix(mats, w, ring.one, ring.zero), str(w)
@@ -558,7 +566,7 @@ def _reference_trace_axioms(rep, max_len, budget, seed, override):
             - (T(a * b) * T(c) + T(b * c) * T(a) + T(a * c) * T(b)),
         ),
     )
-    pool = reduced_words(max_len, include_identity=False)
+    pool = reduced_words(max_len)
     rng = random.Random(seed)
     checks = {"central": 1, "symmetry": 0, "square": 0, "product": 0, "triple": 0}
     if not (T(FreeWord()) - 2).is_zero:
@@ -594,11 +602,10 @@ def test_trace_axioms_match_per_word_reference(key, corrupt):
 
 def test_reduced_words_census():
     ws = reduced_words(4)
-    assert len(ws) == 161  # 1 + 4 + 12 + 36 + 108
-    assert len(set(ws)) == 161
-    assert all(len(w) <= 4 for w in ws)
-    assert len(reduced_words(4, include_identity=False)) == 160
-    assert reduced_words(0) == [FreeWord()]
+    assert len(ws) == 160  # 4 + 12 + 36 + 108
+    assert len(set(ws)) == 160
+    assert all(1 <= len(w) <= 4 for w in ws)
+    assert reduced_words(0) == []
 
 
 def test_random_sl2_det_one():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import series_product
 
-from twobridge import deformations, padics
+from twobridge import cli, deformations, padics
 from twobridge.laurent import LaurentPoly
 from twobridge.padics import (
     _KRONECKER_MIN_D,
@@ -657,13 +657,11 @@ def test_gcd_normal_form_unit_invariance_fuzz():
 def test_divisor_normal_form_api():
     nf = DivisorNormalForm(mu=0, lam=0, certified=True)
     assert nf.is_unit_form()
-    assert nf.to_json() == {"mu": 0, "lambda": 0, "certified": True}
+    assert cli._normal_form(nf) == {"mu": 0, "lambda": 0, "certified": True}
     assert not DivisorNormalForm(mu=1, lam=0, certified=True).is_unit_form()
     assert nf.same_divisor(DivisorNormalForm(mu=0, lam=0, certified=False))
 
 
 def test_padic_json():
-    a = Zp(11, 8)(38)
-    assert a.to_json() == {"p": 11, "N": 8, "residue": "38"}
     f = ZpT(3, 2, 2)([1, 2, 3])
-    assert f.to_json()["coeffs"] == ["1", "2", "3"]
+    assert cli._coeffs(f) == ["1", "2", "3"]

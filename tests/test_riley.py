@@ -9,6 +9,7 @@ packed coordinate changes phi -> phi_xu -> psi against the dict
 recursion in V_k and the substitution by powers.
 """
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -24,7 +25,7 @@ from oracles import (
     riley_rows,
     substitute_by_powers,
 )
-from twobridge import riley
+from twobridge import cli, riley
 from twobridge.deformations import Representation
 from twobridge.laurent import _poly_divmod
 from twobridge.matrices import Mat2, word_matrix
@@ -612,7 +613,8 @@ def test_char_points_parameter_guards():
         char_points(pres, 10007)
 
 
-def test_character_point_json():
-    q = char_points(two_bridge(3, 1), 3)[0]
-    js = q.to_json()
-    assert set(js) == {"x", "y", "on_abelian_line", "absolutely_irreducible"}
+def test_character_point_json(capsys):
+    assert cli.main(["char-points", "--m", "3", "--n", "1", "--p", "3", "--json"]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert points == [q._asdict() for q in char_points(two_bridge(3, 1), 3)]
+    assert set(points[0]) == {"x", "y", "on_abelian_line", "absolutely_irreducible"}

@@ -101,6 +101,11 @@ def test_every_export_resolves():
     assert set(twobridge.__all__) <= namespace.keys()
 
 
+def test_only_the_cli_shapes_json():
+    # cli.py alone knows the --json schema: no class of the package renders itself
+    assert [key for key in _package_namespace() if key[2:] == ("to_json",)] == []
+
+
 # the package's NamedTuple records, by module
 RECORDS = {
     "deformations": ("DeformationFamily", "Specialization", "Certificate", "AxiomViolation", "AxiomReport"),

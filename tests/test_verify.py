@@ -1,10 +1,11 @@
 """Example registry and the end-to-end verification reports."""
 
+import json
 import sys
 
 import pytest
 
-from twobridge import groupring, homology, riley, verify
+from twobridge import cli, groupring, homology, riley, verify
 from twobridge.padics import Indeterminate
 from twobridge.registry import EXAMPLE_IDS, FAMILY_TO_ID, RILEY_PSI_TERMS, get_example
 from twobridge.deformations import build_family, specialize_family
@@ -75,9 +76,10 @@ def test_run_example_451():
     assert report.ok
     assert tuple(r.name for r in report.rows) == BASE_ROW_NAMES
     assert (report.l_form.mu, report.l_form.lam) == (0, 0)
-    js = report.to_json()
+    js = cli._run(report)
     assert js["ok"] is True and js["example_id"] == "4.5.1"
-    assert len(js["rows"]) == len(BASE_ROW_NAMES)
+    assert [row["name"] for row in js["rows"]] == list(BASE_ROW_NAMES)
+    assert js["l"] == {"mu": 0, "lambda": 0, "certified": True}
 
 
 def test_run_example_453a_has_specialized_rows():
@@ -89,13 +91,16 @@ def test_run_example_453a_has_specialized_rows():
     assert (report.l_form.mu, report.l_form.lam) == (0, 2)
 
 
-def test_verify_example_stability():
+def test_verify_example_stability(monkeypatch, capsys):
     report = verify_example("4.5.1", N=6, D=6)
     assert report.ok
     assert report.stable
     assert (report.escalated.N, report.escalated.D) == (10, 10)
-    js = report.to_json()
-    assert js["stable"] is True and js["base"]["N"] == 6
+    monkeypatch.setattr(cli, "verify_example", lambda *args, **kwargs: report)
+    assert cli.main(["verify-example", "--id", "4.5.1", "--json"]) == 0
+    js = json.loads(capsys.readouterr().out)
+    assert js["stable"] is True and js["ok"] is True
+    assert js["base"] == cli._run(report.base) and js["escalated"]["N"] == 10
 
 
 def test_run_example_computes_each_stage_once(monkeypatch):
