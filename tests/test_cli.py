@@ -173,6 +173,34 @@ def test_text_output_golden(command, code, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+TREFOIL = "g1 g2 g1 g2^-1 g1^-1 g2^-1"
+
+# fox on words with spaces, as argv lists: (argv, exit code, sha256 of the
+# text stdout, sha256 of the --json stdout)
+GOLDEN_FOX = [
+    (["fox", "--word", TREFOIL, "--gen", "1"], 0,
+     "06ab8f25948531c99de51d5fde6f17f4c7030e934ceba4f250936bd5572d58b1",
+     "857489915abc9b920d050d1c72d8434580ceb05da5359160b13a331eb8c60716"),
+    (["fox", "--word", TREFOIL, "--gen", "2"], 0,
+     "4a3e59feb606f6a42724a8ecef5ba69497df6f8e4fe36637309e8cfe0f6bebe7",
+     "8d2839d0d4448e4c7799ea5581c4776474f004b2464ce82a0f13f2dea599bfe7"),
+    (["fox", "--word", "g1^-3 g2", "--gen", "1"], 0,
+     "c141729eae0893bde23fd3bf08a76211be938b1cc2ff46ed15d47629c2ae2f1d",
+     "b24bf68129636a389ba5594a3f91f60975de325ef4872af25b948b79c95b8cd9"),
+    (["fox", "--word", "e", "--gen", "1"], 0,
+     "d68acaa7e4bd9fdcaeedd39a95af437ff6cf87a2e74c0f0826c07475c7f3966a",
+     "6bdac5e5f7b011b8e72b89cefaeca37bb048000e4154ab76a551d6c1b5e3eb72"),
+]
+
+
+@pytest.mark.parametrize("argv,code,text_digest,json_digest", GOLDEN_FOX, ids=[" ".join(a) for a, *_ in GOLDEN_FOX])
+def test_fox_output_golden(argv, code, text_digest, json_digest, capsys):
+    for extra, digest in (([], text_digest), (["--json"], json_digest)):
+        assert cli.main(argv + extra) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_json_builds_no_text(monkeypatch, capsys):
     # under --json the text lines are never built
     def refuse(*args):
