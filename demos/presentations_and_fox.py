@@ -22,13 +22,15 @@ for m, n in ((5, 3), (7, 3)):
     pres = two_bridge(m, n)
     print("B(%d,%d) relator: %s" % (m, n, pres.relator))
 
-# Fox derivatives are group ring elements; differentiating the relator
-# with respect to each generator gives the rows of the boundary maps
+# a Fox derivative is an element of the group ring Z[F], held as a dict
+# {word: coefficient}; differentiating the relator with respect to each
+# generator gives the rows of the boundary maps
 pres = two_bridge(3, 1)
 for i in (1, 2):
-    print("d(relator)/dg%d = %s" % (i, fox_derivative(pres.relator, i)))
+    terms = sorted(fox_derivative(pres.relator, i).items(), key=lambda wc: (len(wc[0]), str(wc[0])))
+    print("d(relator)/dg%d: %s" % (i, ", ".join("(%s, %+d)" % wc for wc in terms)))
 
 # the fundamental identity sum_i dw/dg_i (g_i - 1) = w - 1 holds for
-# every word; the defect below is the difference, always zero
+# every word; the defect below is the difference, always empty
 w = parse_word("g1 g2^-1 g1^2 g2")
-print("defect of", w, "is zero:", fundamental_identity_defect(w, 2).is_zero)
+print("defect of", w, "is zero:", not fundamental_identity_defect(w, 2))

@@ -89,10 +89,17 @@ def cmd_presentation(args) -> int:
 
 def cmd_fox(args) -> int:
     word = parse_word(args.word)
-    elt = fox_derivative(word, args.gen)
-    pairs = [[str(w), c] for w, c in elt.sorted_items()]
-    payload = {"word": str(word), "gen": args.gen, "derivative": pairs}
-    _emit(args, payload, lambda: ["d(%s)/dg%d = %s" % (word, args.gen, elt)])
+    # by number of letters, then text form; no two distinct words share both
+    terms = sorted((len(w), str(w), c) for w, c in fox_derivative(word, args.gen).items())
+    payload = {"word": str(word), "gen": args.gen, "derivative": [[w, c] for _, w, c in terms]}
+
+    def lines():
+        # every coefficient is +1 or -1: the words are distinct prefixes of word
+        text = " ".join("%s %s" % ("-" if c < 0 else "+", w) for _, w, c in terms)
+        text = text[2:] if text.startswith("+") else text.replace("- ", "-", 1) or "0"
+        yield "d(%s)/dg%d = %s" % (word, args.gen, text)
+
+    _emit(args, payload, lines)
     return 0
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .groupring import GroupRingElement
 from .laurent import LaurentPoly, divide_exact, eq_up_to_unit
 from .matrices import Mat2, mat_identity, mat_mul_modp, mat_sub_modp, rank_modp
 from .padics import (
@@ -61,7 +60,7 @@ def _linear_coords(rep, terms) -> list:
     return acc
 
 
-def apply_rep(rep, elt: GroupRingElement) -> Mat2:
+def apply_rep(rep, elt: dict[FreeWord, int]) -> Mat2:
     """Linear extension of a word representation to the group ring."""
     return rep.matrix(_linear_coords(rep, elt.items()))
 
@@ -150,7 +149,7 @@ class TwistedAlexander(NamedTuple):
         return self.primary().value_at_one()
 
 
-def _phi_matrix(rep, elt: GroupRingElement, laur_ring: Zp) -> Mat2:
+def _phi_matrix(rep, elt: dict[FreeWord, int], laur_ring: Zp) -> Mat2:
     """(rho tensor t^abelianization) applied to a group-ring element: its
     words summed in trace coordinates per exponent sum k, each sum turned
     into a matrix once and placed at t^k."""
@@ -349,7 +348,7 @@ def _ad3(m: Mat2, p: int) -> list[list[int]]:
     ]
 
 
-def _ad_of_elt(rep, elt: GroupRingElement, p: int) -> list[list[int]]:
+def _ad_of_elt(rep, elt: dict[FreeWord, int], p: int) -> list[list[int]]:
     acc = [[0] * 3 for _ in range(3)]
     for w, c in elt.items():
         m = _ad3(rep(w), p)

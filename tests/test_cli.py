@@ -13,6 +13,7 @@ import pytest
 
 from twobridge import cli
 from twobridge.riley import BivariatePoly
+from twobridge.words import MAX_WORD_LETTERS
 
 CLI = [sys.executable, "-m", "twobridge.cli"]
 
@@ -319,6 +320,26 @@ def test_exit_code_2_parameter_errors(args):
     assert "parameter error" in r.stderr
     if args[0] == "char-points":
         assert r.stderr == "parameter error: %s\n" % CHAR_POINTS_P_ERRORS[args[-1]]
+
+
+def test_fox_word_at_letter_cap(capsys):
+    assert cli.main(["fox", "--word", "g1^%d" % MAX_WORD_LETTERS, "--gen", "1", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["derivative"]) == MAX_WORD_LETTERS
+
+
+@pytest.mark.parametrize(
+    "word,letters",
+    [
+        ("g1^%d" % (MAX_WORD_LETTERS + 1), MAX_WORD_LETTERS + 1),
+        ("g1^2000 g2^-2000 g1", MAX_WORD_LETTERS + 1),
+        # the exponent is checked before it is expanded into letters
+        ("g1^99999999999", 99999999999),
+    ],
+)
+def test_fox_word_over_letter_cap_is_parameter_error(word, letters):
+    r = run_cli("fox", "--word", word, "--gen", "1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "parameter error: word has %d letters, at most %d allowed\n" % (letters, MAX_WORD_LETTERS)
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from oracles import k_minors
 
 from twobridge import cli
 from twobridge.deformations import Representation, build_family, random_sl2, specialize_family
-from twobridge.groupring import GroupRingElement
 from twobridge.homology import (
     AlexanderResult,
     FittingResult,
@@ -86,9 +85,7 @@ def test_boundary_blocks():
 
 def test_apply_rep_linearity():
     ring = TREFOIL_RES.ring
-    e = GroupRingElement.one()
-    g1 = GroupRingElement.from_word(gen(1))
-    got = apply_rep(TREFOIL_RES, e + g1 * 2)
+    got = apply_rep(TREFOIL_RES, {FreeWord(): 1, gen(1): 2})
     ident = Mat2.identity(ring.one, ring.zero)
     assert got == ident + TREFOIL_RES(gen(1)).scale(ring(2))
 
@@ -253,7 +250,7 @@ def test_deleted_index_agreement_on_char_point_reps():
 
 
 def _gen_minus_one(i):
-    return GroupRingElement.from_word(gen(i)) - GroupRingElement.one()
+    return {gen(i): 1, FreeWord(): -1}
 
 
 def _phi_denominator(rep, i):
