@@ -26,9 +26,12 @@ hensel_root is the one Newton lift: s -> s - f(s)/f'(s) from a root mod
 then in T. The first steps run at doubling precision in smaller rings
 (Brent and Kung 1978): Zp(p, n) for n = 2, 4, 8, ... < N, and then
 ZpT(p, N, d) for d = 1, 3, 7, ... < D, each step doubling the (p, T)-adic
-precision of the iterate. The loop then finishes at full precision and
-returns as soon as f(s) = 0, so the step that confirms the root costs
-one residual and no inversion.
+precision of the iterate. A step into a ring starts from a root in the
+previous, half-size ring, so f(s) lies in that ring's ideal, which the
+step squares: f'(s) is inverted in the previous ring and the inverse
+lifted. The loop then finishes at full precision and returns as soon
+as f(s) = 0, so the step that confirms the root costs one residual and
+no inversion, and no inversion runs at full precision.
 """
 
 from __future__ import annotations
@@ -304,9 +307,10 @@ class ZpT(metaclass=_Interned):
         self.slot = -(-bits // 64) if bits <= 128 and D >= _KRONECKER_MIN_D else 0
 
     def __call__(self, coeffs: Sequence[int]) -> "PadicSeries":
-        cs = list(coeffs)[: self.D + 1]
+        m = self.base.modulus
+        cs = [c % m for c in list(coeffs)[: self.D + 1]]
         cs += [0] * (self.D + 1 - len(cs))
-        return PadicSeries(self, tuple(c % self.base.modulus for c in cs))
+        return PadicSeries(self, tuple(cs))
 
     def constant(self, c) -> "PadicSeries":
         if isinstance(c, PadicInt):
@@ -368,27 +372,32 @@ class PadicSeries:
             return NotImplemented
         self._check(other)
         m = self.ring.base.modulus
-        return PadicSeries(self.ring, tuple((a + b) % m for a, b in zip(self.coeffs, other.coeffs)))
+        return PadicSeries(self.ring, tuple([(a + b) % m for a, b in zip(self.coeffs, other.coeffs)]))
 
     __radd__ = __add__
 
     def __neg__(self):
         m = self.ring.base.modulus
-        return PadicSeries(self.ring, tuple((-a) % m for a in self.coeffs))
+        return PadicSeries(self.ring, tuple([-a % m for a in self.coeffs]))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if not isinstance(other, PadicSeries):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        m = self.ring.base.modulus
+        return PadicSeries(self.ring, tuple([(a - b) % m for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        if not isinstance(other, PadicSeries):
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, int):
             m = self.ring.base.modulus
-            return PadicSeries(self.ring, tuple((a * other) % m for a in self.coeffs))
+            return PadicSeries(self.ring, tuple([a * other % m for a in self.coeffs]))
         if isinstance(other, PadicInt):
             if other.ring is not self.ring.base:
                 raise ValueError("scalar from incompatible ring %r" % (other.ring,))
@@ -418,7 +427,7 @@ class PadicSeries:
                 if a:
                     for j in range(D + 1 - i):
                         out[i + j] += a * ys[j]
-        return PadicSeries(ring, tuple(c % m for c in out))  # one reduction per coefficient
+        return PadicSeries(ring, tuple([c % m for c in out]))  # one reduction per coefficient
 
     __rmul__ = __mul__
 
@@ -596,13 +605,18 @@ def hensel_root(coeffs: Sequence, seed):
         if not poly_eval(dcoeffs, seed).is_unit:
             raise SingularRoot("f'(seed) is not a unit mod the maximal ideal")
         s = seed
+    # s is a root in prev (where the seed is one, then the last step's ring),
+    # so f(s) lies in prev's ideal and f'(s)^-1 mod prev is all a step needs
+    prev = Zp(ring.p, 1) if isinstance(ring, Zp) else ZpT(ring.p, ring.N, 0)
     for r in _doubling_rings(ring) + [ring] * _newton_cap(_modulus_exponent(s)):
         s = s.to_ring(r)
         fs = poly_eval([c.to_ring(r) for c in coeffs], s)
         if not fs.is_zero:
-            s = s - fs * poly_eval([c.to_ring(r) for c in dcoeffs], s).invert_unit()
+            du = poly_eval([c.to_ring(prev) for c in dcoeffs], s.to_ring(prev)).invert_unit()
+            s = s - fs * du.to_ring(r)
         elif r is ring:
             return s
+        prev = r
     raise ArithmeticError("Hensel Newton iteration failed to stabilize")
 
 

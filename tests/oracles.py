@@ -9,7 +9,8 @@ the single group relation, rather than by evaluating any polynomial
 produced by the library. psi_scan does evaluate a given Psi, point by
 point, so it checks only how the points of that Psi are found;
 char_points_by_x finds them one x0 at a time with a root finder it is
-given.
+given. hensel_full_precision runs the Newton lift's doubling schedule
+with f' inverted in full in every ring.
 """
 
 from itertools import combinations
@@ -88,6 +89,49 @@ def series_product(a, b, modulus, D):
     a = list(a) + [0] * (D + 1 - len(a))
     b = list(b) + [0] * (D + 1 - len(b))
     return [sum(a[i] * b[k - i] for i in range(k + 1)) % modulus for k in range(D + 1)]
+
+
+def hensel_full_precision(coeffs, seed, p, N, D=None):
+    """The root of f(y) = sum coeffs[k] y^k that is seed mod (p, T), by
+    Newton's step s - f(s)/f'(s) with f'(s) inverted in full in each ring
+    of the doubling schedule: Z/p^n for n = 2, 4, ... < N and then Z/p^N
+    until f(s) = 0; for series, then Z/p^N[[T]]/T^(d+1) for d + 1 = 2, 4,
+    ... < D + 1 and then d = D until f(s) = 0.
+
+    Without D the coefficients are ints and so is the root; with D they
+    are lists of ints, ascending in T, and the root is a list of D + 1
+    ints. Raises ArithmeticError when a ring's loop does not settle.
+    """
+
+    def newton(rings, s, cs):
+        dcs = [[k * c for c in cf] for k, cf in enumerate(cs)][1:]
+
+        def ev(poly, s, m, d):
+            acc = [0] * (d + 1)
+            for cf in reversed(poly):
+                acc = [(a + c) % m for a, c in zip(series_product(acc, s, m, d), list(cf) + [0] * d)]
+            return acc
+
+        for m, d in rings:
+            s = [c % m for c in s[: d + 1]] + [0] * (d + 1 - len(s))
+            fs = ev(cs, s, m, d)
+            if any(fs):
+                u = ev(dcs, s, m, d)
+                inv = [pow(u[0], -1, m)]
+                for k in range(1, d + 1):
+                    inv.append(-inv[0] * sum(u[j] * inv[k - j] for j in range(1, k + 1)) % m)
+                s = [(a - b) % m for a, b in zip(s, series_product(fs, inv, m, d))]
+            elif (m, d) == rings[-1]:
+                return s
+        raise ArithmeticError("Newton did not settle")
+
+    settle = [(p**N, 0)] * (N + 2)
+    const = [[c] if D is None else list(c)[:1] for c in coeffs]
+    root = newton([(p ** (1 << k), 0) for k in range(1, (N - 1).bit_length())] + settle, [seed], const)
+    if D is None:
+        return root[0]
+    rings = [(p**N, (1 << k) - 1) for k in range(1, D.bit_length())] + [(p**N, D)] * (D + 2)
+    return newton(rings, root, [list(c) for c in coeffs])
 
 
 def k_minors(rows, k):

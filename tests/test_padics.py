@@ -6,7 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import series_product
+from oracles import hensel_full_precision, series_product
 
 from twobridge import cli, deformations, padics
 from twobridge.laurent import LaurentPoly
@@ -417,6 +417,43 @@ def test_hensel_series():
         assert poly_eval(dcs, got).is_unit
 
 
+# N = 1, N = 2^k and N = 2^k + 1; D = 0, D + 1 = 2^k and D + 1 = 2^k + 1,
+# with D = 16 on the Kronecker product; None is the lift over Z_p alone
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([3, 5, 7, 11]),
+    st.sampled_from([1, 2, 3, 4, 5, 8, 9]),
+    st.sampled_from([None, 0, 1, 2, 3, 4, 7, 8, 16]),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_newton_lifts_match_full_precision_oracle(seed, p, N, D, degree, monic):
+    # a random f of y-degree 1-4 with a simple root mod (p, T), and a
+    # random unit square: hensel_root and sqrt_positive, which invert f'
+    # in the previous ring, equal the lift that inverts f' in every ring
+    rng = random.Random(seed)
+    m, width = p**N, 1 if D is None else D + 1
+    cs = [[rng.randrange(m) for _ in range(width)] for _ in range(degree + 1)]
+    if monic:
+        cs[-1] = [1] + [0] * (width - 1)
+    r0, unit = rng.randrange(p), rng.randrange(1, p)
+    cs[1][0] = unit - sum(k * cs[k][0] * r0 ** (k - 1) for k in range(2, degree + 1)) + p * rng.randrange(m)
+    cs[0][0] = -sum(cs[k][0] * r0**k for k in range(1, degree + 1)) + p * rng.randrange(m)
+    a = [rng.randrange(m) for _ in range(width)]
+    root_a = rng.randrange(1, (p + 1) // 2)
+    a[0] = root_a * root_a + p * rng.randrange(m)
+    square = [[-c for c in a], [0], [1]]
+    if D is None:
+        F = Zp(p, N)
+        assert hensel_root([c for c, in cs], F(r0)).r == hensel_full_precision([c for c, in cs], r0, p, N)
+        assert sqrt_positive(F(a[0])).r == hensel_full_precision([c for c, in square], root_a, p, N)
+    else:
+        R = ZpT(p, N, D)
+        assert list(hensel_root([R(c) for c in cs], R.constant(r0)).coeffs) == hensel_full_precision(cs, r0, p, N, D)
+        assert list(sqrt_positive(R(a)).coeffs) == hensel_full_precision(square, root_a, p, N, D)
+
+
 def _is_one(x):
     return x.coeffs[0] == 1 and not any(x.coeffs[1:])
 
@@ -511,9 +548,11 @@ def test_doubling_newton_matches_the_full_precision_loop(monkeypatch, p, N, D):
 
 
 def test_newton_confirms_the_root_without_an_inversion(monkeypatch):
-    # the rho3 lift at (97, 96): after the doubling rings one full-precision
-    # step reaches the root, and the next finds a zero residual and stops,
-    # so each lift the builder makes inverts once at full precision
+    # the rho3 lift at (97, 96): each Newton step inverts f'(s) in the
+    # previous, half-size ring, one full-precision step reaches the root,
+    # and the next finds a zero residual and stops, so no lift the builder
+    # makes inverts in its own ring, and every inversion it makes runs in
+    # a proper quotient of that ring
     from twobridge.padics import PadicInt
 
     inverted = []
@@ -521,11 +560,16 @@ def test_newton_confirms_the_root_without_an_inversion(monkeypatch):
         monkeypatch.setattr(cls, "invert_unit", lambda self, f=cls.invert_unit: inverted.append(self.ring) or f(self))
     calls = []
 
+    def smaller(r, ring):
+        return r is not ring and r.N <= ring.N and getattr(r, "D", 0) <= getattr(ring, "D", 0)
+
     def counting(fn):
         def wrapper(*args):
             start = len(inverted)
             out = fn(*args)
-            calls.append((fn.__name__, out.ring, sum(r is out.ring for r in inverted[start:])))
+            rings = inverted[start:]
+            assert rings and all(smaller(r, out.ring) for r in rings)
+            calls.append((fn.__name__, out.ring, sum(r is out.ring for r in rings)))
             return out
 
         return wrapper
@@ -535,7 +579,7 @@ def test_newton_confirms_the_root_without_an_inversion(monkeypatch):
     deformations.build_rho3(97, 96)
     F, R = Zp(11, 97), ZpT(11, 97, 96)
     assert sorted(calls, key=str) == sorted(
-        [("sqrt_positive", F, 1), ("hensel_root", R, 1), ("sqrt_positive", R, 1)], key=str
+        [("sqrt_positive", F, 0), ("hensel_root", R, 0), ("sqrt_positive", R, 0)], key=str
     )
 
 
@@ -546,6 +590,9 @@ def test_to_ring_truncates_and_lifts():
     assert f.to_ring(small).to_ring(R).coeffs == (1, 2, 3, 0, 0, 0, 0)
     assert f.to_ring(R) is f
     assert f.to_ring(ZpT(5, 1, 6)).coeffs == (1, 2, 3, 4, 0, 1, 2)
+    # a ring takes any iterable of ints, truncated after T^D and padded
+    assert R(c for c in range(1, 10)) == f
+    assert small(iter([-1, 626])).coeffs == (624, 1, 0)
     x = Zp(5, 4)(3 + 2 * 5 + 4 * 125)
     assert x.to_ring(Zp(5, 2)).r == 13
     assert x.to_ring(Zp(5, 2)).to_ring(Zp(5, 4)).r == 13
@@ -590,6 +637,10 @@ def test_mixed_ring_errors_name_both_rings():
         (lambda: a(1) * b(1), "mixed rings: Zp(5, 3) vs Zp(5, 4)"),
         (lambda: S.one + S2.one, "mixed rings: ZpT(5, 3, 4) vs ZpT(5, 3, 5)"),
         (lambda: S.one * S2.one, "mixed rings: ZpT(5, 3, 4) vs ZpT(5, 3, 5)"),
+        (lambda: S.one - S2.one, "mixed rings: ZpT(5, 3, 4) vs ZpT(5, 3, 5)"),
+        (lambda: S2.one - S.one, "mixed rings: ZpT(5, 3, 5) vs ZpT(5, 3, 4)"),
+        (lambda: S.one - b(1), "constant from incompatible ring Zp(5, 4)"),
+        (lambda: b(1) - S.one, "constant from incompatible ring Zp(5, 4)"),
         (lambda: S.constant(b(1)), "constant from incompatible ring Zp(5, 4)"),
         (lambda: S.one * b(1), "scalar from incompatible ring Zp(5, 4)"),
         (lambda: S.T.specialize(b(5)), "evaluation point from incompatible ring Zp(5, 4)"),
@@ -598,6 +649,12 @@ def test_mixed_ring_errors_name_both_rings():
         with pytest.raises(ValueError) as err:
             fn()
         assert str(err.value) == text
+    # an int or a scalar of the base ring on either side of - is a constant
+    f = S([1, 2, 3, 124, 7])
+    assert (3 - S.one).coeffs == (2, 0, 0, 0, 0)
+    assert (3 - f).coeffs == tuple((3 * (k == 0) - c) % 125 for k, c in enumerate(f.coeffs))
+    assert (f - a(3)).coeffs == tuple((c - 3 * (k == 0)) % 125 for k, c in enumerate(f.coeffs))
+    assert (a(3) - f) == -(f - 3)
 
 
 def test_gcd_normal_form_reference_vectors():
