@@ -20,12 +20,11 @@ from twobridge.homology import (
 # quotient is 1 + t^2, so its value at t=1 is the unit 2
 fam = build_family("rho1")
 res = fam.rep.residual()
-ta = twisted_alexander(fam.pres, res)
-r = ta.primary()
+r = twisted_alexander(fam.pres, res)[0]
 print("trefoil residual: num =", dict(r.numerator.coeffs))
 print("                  den =", dict(r.denominator.coeffs))
 print("                  quotient =", dict(r.quotient.coeffs))
-print("                  at t=1:", ta.value_at_one())
+print("                  at t=1:", r.value_at_one())
 
 # the L-function is the gcd normal form p^mu T^lam of the six 2-minors
 # of the second boundary map over the deformation ring

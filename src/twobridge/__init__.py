@@ -21,7 +21,6 @@ from .deformations import (
     build_rho3,
     build_rho4,
     character_curve_value,
-    random_sl2,
     specialize_family,
     trace_axioms,
     universality_certificate,
@@ -32,7 +31,6 @@ from .homology import (
     CohomologyDims,
     FittingResult,
     TorsionReport,
-    TwistedAlexander,
     VanishingReport,
     ad_cohomology,
     boundary1,
@@ -105,7 +103,6 @@ __all__ = [
     "SingularRoot",
     "Specialization",
     "TorsionReport",
-    "TwistedAlexander",
     "TwoBridgePresentation",
     "VanishingReport",
     "VerifyReport",
@@ -136,7 +133,6 @@ __all__ = [
     "l_function",
     "laurent_gcd",
     "parse_word",
-    "random_sl2",
     "reduced_words",
     "riley_polynomial",
     "run_example",

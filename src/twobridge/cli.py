@@ -188,13 +188,13 @@ def cmd_talex(args) -> int:
                 "denominator": _laurent(r.denominator),
                 "quotient": None if r.quotient is None else _laurent(r.quotient),
             }
-            for r in ta.results
+            for r in ta
         ],
-        "at_1": str(ta.value_at_one()),
+        "at_1": str(ta[0].value_at_one()),
     }
     _emit(args, payload, lambda: [
         *("delete g%d: numerator %s / denominator %s = %s"
-          % (r.deleted_index, r.numerator, r.denominator, r.quotient) for r in ta.results),
+          % (r.deleted_index, r.numerator, r.denominator, r.quotient) for r in ta),
         "Delta(1) = %s" % payload["at_1"],
     ])
     return 0

@@ -63,7 +63,8 @@ class Representation:
     so a letter costs at most two products of dense series (e and c times
     a coordinate); a and b are alpha + T along a family. The rules rest
     on A^2 = aA - I and B^2 = bB - I, so the matrices must have
-    determinant exactly 1 (an inverse letter is the adjugate).
+    determinant exactly 1 (an inverse letter is the adjugate). Any other
+    letter has no image and raises ValueError.
 
     The coordinate cache starts from the identity, the letters and
     g1 g2 = AB. A word w that is not cached is rho(first letter) times
@@ -142,7 +143,9 @@ class Representation:
         u = b * ga + c * de
         if letter == (1, 1):
             return (e * ga - be - b * de, al + a * be + u, a * ga + de, -ga)
-        return (be + a * al - e * ga + b * de, -al - u, -de, ga + a * de)
+        if letter == (1, -1):
+            return (be + a * al - e * ga + b * de, -al - u, -de, ga + a * de)
+        raise ValueError("no image for the letter g%d^%d; only g1 and g2 have one" % letter)
 
     def left(self, letter, m: tuple) -> tuple:
         """The coordinates of rho(letter) times M."""
@@ -155,7 +158,9 @@ class Representation:
         u = a * be + c * de
         if letter == (2, 1):
             return (e * be - ga - a * de, b * be + de, al + u + b * ga, -be)
-        return (b * al - e * be + ga + a * de, -de, -al - u, be + b * de)
+        if letter == (2, -1):
+            return (b * al - e * be + ga + a * de, -de, -al - u, be + b * de)
+        raise ValueError("no image for the letter g%d^%d; only g1 and g2 have one" % letter)
 
     def matrix(self, m) -> Mat2:
         """alpha I + beta A + gamma B + delta AB for m = (alpha, beta, gamma,
@@ -520,33 +525,3 @@ def trace_axioms(
                 return AxiomReport(checks=checks, violation=violation)
     return AxiomReport(checks=checks, violation=None)
 
-
-# --- random SL2 sampling --------------------------------------------------
-
-
-def _random_residues(rng: random.Random, ring, unit: bool):
-    if isinstance(ring, Zp):
-        while True:
-            r = rng.randrange(ring.modulus)
-            if not unit or r % ring.p:
-                return ring(r)
-    cs = [rng.randrange(ring.base.modulus) for _ in range(ring.D + 1)]
-    if unit:
-        while cs[0] % ring.p == 0:
-            cs[0] = rng.randrange(ring.base.modulus)
-    return ring(cs)
-
-
-def random_sl2(rng: random.Random, ring) -> Mat2:
-    """Element of SL2 over Zp or ZpT with determinant exactly 1, built
-    constructively: either a is a unit and d = (1 + bc) / a, or a = 0,
-    c = -1/b and d is free."""
-    if rng.random() < 0.15:
-        b = _random_residues(rng, ring, unit=True)
-        d = _random_residues(rng, ring, unit=False)
-        return Mat2(ring.zero, b, -b.invert_unit(), d)
-    a = _random_residues(rng, ring, unit=True)
-    b = _random_residues(rng, ring, unit=False)
-    c = _random_residues(rng, ring, unit=False)
-    d = (b * c + 1) * a.invert_unit()
-    return Mat2(a, b, c, d)

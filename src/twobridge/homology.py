@@ -60,11 +60,6 @@ def _linear_coords(rep, terms) -> list:
     return acc
 
 
-def apply_rep(rep, elt: dict[FreeWord, int]) -> Mat2:
-    """Linear extension of a word representation to the group ring."""
-    return rep.matrix(_linear_coords(rep, elt.items()))
-
-
 def _minus_identity(rep, w: FreeWord) -> Mat2:
     """rho(w) - I."""
     return rep(w) - Mat2.identity(rep.one, rep.zero)
@@ -139,16 +134,6 @@ class AlexanderResult(NamedTuple):
         return eq_up_to_unit(self.numerator, expected * self.denominator)
 
 
-class TwistedAlexander(NamedTuple):
-    results: tuple[AlexanderResult, ...]
-
-    def primary(self) -> AlexanderResult:
-        return self.results[0]
-
-    def value_at_one(self) -> PadicInt:
-        return self.primary().value_at_one()
-
-
 def _phi_matrix(rep, elt: dict[FreeWord, int], laur_ring: Zp) -> Mat2:
     """(rho tensor t^abelianization) applied to a group-ring element: its
     words summed in trace coordinates per exponent sum k, each sum turned
@@ -171,9 +156,9 @@ def _alexander_denominator(rep, i: int) -> LaurentPoly:
     return LaurentPoly(rep.ring, {2: g.det().r, 1: -g.trace().r, 0: 1})
 
 
-def twisted_alexander(pres: TwoBridgePresentation, rep) -> TwistedAlexander:
-    """Wada invariant for both deleted indices, with the pairwise
-    agreement-up-to-unit assertion built in.
+def twisted_alexander(pres: TwoBridgePresentation, rep) -> tuple[AlexanderResult, AlexanderResult]:
+    """Wada invariant for deleted indices 1 and 2, in that order, with the
+    pairwise agreement-up-to-unit assertion built in.
 
     Deleting block row i of the Fox matrix leaves the derivative by the
     other generator; the denominator uses the same index i:
@@ -198,7 +183,7 @@ def twisted_alexander(pres: TwoBridgePresentation, rep) -> TwistedAlexander:
         agree = eq_up_to_unit(ra.numerator * rb.denominator, rb.numerator * ra.denominator)
     if not agree:
         raise ArithmeticError("deleted indices 1 and 2 disagree up to unit")
-    return TwistedAlexander(results=tuple(results))
+    return ra, rb
 
 
 # --- torsion criterion ----------------------------------------------------
@@ -247,7 +232,7 @@ def torsion_criterion(pres: TwoBridgePresentation, rep) -> TorsionReport:
     the universal deformation is a torsion module.
     """
     try:
-        delta1 = twisted_alexander(pres, rep).value_at_one()
+        delta1 = twisted_alexander(pres, rep)[0].value_at_one()
     except Indeterminate:
         delta1 = None
     return TorsionReport.from_results(torsion_witness(rep), delta1)

@@ -7,7 +7,7 @@ equal after multiplying by one of those.
 
 from __future__ import annotations
 
-from .padics import Indeterminate, PadicInt, Zp, poly_eval, power
+from .padics import Indeterminate, PadicInt, Zp, poly_eval
 
 
 class LaurentPoly:
@@ -27,31 +27,11 @@ class LaurentPoly:
     def zero(cls, ring: Zp) -> "LaurentPoly":
         return cls(ring, {})
 
-    @classmethod
-    def one(cls, ring: Zp) -> "LaurentPoly":
-        return cls(ring, {0: 1})
-
-    @classmethod
-    def constant(cls, ring: Zp, c) -> "LaurentPoly":
-        if isinstance(c, PadicInt):
-            c = c.r
-        return cls(ring, {0: c})
-
     def _check(self, other: "LaurentPoly") -> None:
         if self.ring is not other.ring:
             raise ValueError("mixed rings: %r vs %r" % (self.ring, other.ring))
 
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return LaurentPoly.constant(self.ring, other)
-        if isinstance(other, PadicInt):
-            if other.ring is not self.ring:
-                raise ValueError("scalar from incompatible ring %r" % (other.ring,))
-            return LaurentPoly.constant(self.ring, other.r)
-        return other
-
     def __add__(self, other):
-        other = self._coerce(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
@@ -60,19 +40,13 @@ class LaurentPoly:
             out[k] = out.get(k, 0) + c
         return LaurentPoly(self.ring, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentPoly(self.ring, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, PadicInt)):
@@ -89,11 +63,6 @@ class LaurentPoly:
         return LaurentPoly(self.ring, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers only for monomials; invert explicitly")
-        return power(self, k, LaurentPoly.one(self.ring))
 
     @property
     def is_zero(self) -> bool:
@@ -126,7 +95,6 @@ class LaurentPoly:
         return acc * t0**lo if lo else acc
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other) if isinstance(other, (int, PadicInt)) else other
         return (
             isinstance(other, LaurentPoly)
             and self.ring is other.ring

@@ -24,9 +24,6 @@ class Mat2:
     def __sub__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
 
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
     def __mul__(self, other: "Mat2") -> "Mat2":
         if not isinstance(other, Mat2):
             return NotImplemented
@@ -36,9 +33,6 @@ class Mat2:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def scale(self, s) -> "Mat2":
-        return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
 
     def trace(self):
         return self.a + self.d

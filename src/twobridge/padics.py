@@ -101,6 +101,8 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     """The square root of a mod the odd prime p in [0, (p-1)/2], or None.
 
     Tonelli-Shanks (Shanks 1973); None when a is not a square mod p.
+    Raises ValueError when the search for a non-residue finds none, which
+    cannot happen for a prime p.
     """
     a %= p
     if a == 0:
@@ -111,9 +113,9 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     q, s = p - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
-    z = 2
-    while pow(z, half, p) != p - 1:
-        z += 1
+    z = next((z for z in range(2, p) if pow(z, half, p) == p - 1), None)
+    if z is None:
+        raise ValueError("no quadratic non-residue mod %d; p must be an odd prime" % p)
     # invariant: r^2 = a t, t has order dividing 2^(m-1), c has order 2^m
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -326,10 +328,6 @@ class ZpT(metaclass=_Interned):
     @property
     def one(self) -> "PadicSeries":
         return self([1])
-
-    @property
-    def T(self) -> "PadicSeries":
-        return self([0, 1])
 
     def __repr__(self) -> str:
         return "ZpT(%d, %d, %d)" % (self.p, self.N, self.D)

@@ -192,19 +192,7 @@ class BivariatePoly:
     def eval_modp(self, a: int, b: int, p: int) -> int:
         """Value at (first, second) = (a, b) in F_p; negative first powers
         need a to be a unit."""
-        acc = 0
-        inv = None
-        for (i, j), c in self.terms.items():
-            if i >= 0:
-                fa = pow(a % p, i, p)
-            else:
-                if a % p == 0:
-                    raise ValueError("negative exponent at a non-unit point")
-                if inv is None:
-                    inv = pow(a % p, -1, p)
-                fa = pow(inv, -i, p)
-            acc = (acc + c * fa * pow(b % p, j, p)) % p
-        return acc
+        return sum(c * pow(a, i, p) * pow(b, j, p) for (i, j), c in self.terms.items()) % p
 
     def sorted_terms(self) -> list[tuple[int, int, int]]:
         return [(i, j, c) for (i, j), c in sorted(self.terms.items())]

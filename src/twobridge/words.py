@@ -70,29 +70,6 @@ class FreeWord:
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((g, -s) for g, s in reversed(self.letters)))
 
-    def __pow__(self, k: int) -> "FreeWord":
-        if k == 0:
-            return FreeWord()
-        base = self if k > 0 else self.inverse()
-        out = FreeWord()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def abelianize(self, num_gens: int | None = None) -> tuple[int, ...]:
-        """Total exponent sum per generator, as a tuple g1..gk."""
-        k = num_gens if num_gens is not None else max((g for g, _ in self.letters), default=0)
-        sums = [0] * k
-        for g, s in self.letters:
-            if g > k:
-                raise ValueError("word uses g%d but num_gens=%d" % (g, k))
-            sums[g - 1] += s
-        return tuple(sums)
-
     def exponent_sum(self) -> int:
         """Sum of all letter signs (image under g_i -> t for every i)."""
         return sum(s for _, s in self.letters)

@@ -2,7 +2,11 @@
 
 Everything here is self-contained on purpose: no imports from the
 package under test, plain integer arithmetic only (k_minors alone takes
-whatever entries it is given, and uses only their + - *). The
+whatever entries it is given, and uses only their + - *), except the
+SL2 helpers at the end. These build the package's Mat2 over a ring it
+is given: random_sl2 samples det-1 matrices, and group_ring_matrix
+multiplies each word out letter by letter with matrices.word_matrix,
+which no package path runs, instead of through trace coordinates. The
 character-scheme scan decides membership of (x0, y0) by exhibiting an
 actual pair of 2x2 matrices over F_p[z]/(z^2 - x0 z + 1) and checking
 the single group relation, rather than by evaluating any polynomial
@@ -13,7 +17,11 @@ given. hensel_full_precision runs the Newton lift's doubling schedule
 with f' inverted in full in every ring.
 """
 
+import random
 from itertools import combinations
+
+from twobridge.matrices import Mat2, word_matrix
+from twobridge.padics import Zp
 
 
 def epsilon_oracle(m, n):
@@ -272,3 +280,41 @@ def riley_rows(m, n):
                 add_into(a, {(e, j + 1): c for (e, j), c in row[1].items()}, s)
             row[:] = a, b
     return [e for row in rows for e in row]
+
+
+def group_ring_matrix(rep, elt):
+    """sum of c * rho(w) over the {w: c} group-ring element elt, each
+    rho(w) the product of rep's generator matrices along w."""
+    one, zero = rep.ring.one, rep.ring.zero
+    acc = Mat2.identity(zero, zero)
+    for w, c in elt.items():
+        acc = acc + word_matrix(rep.matrices, w, one, zero).map(lambda e: e * c)
+    return acc
+
+
+def _random_residues(rng: random.Random, ring, unit: bool):
+    if isinstance(ring, Zp):
+        while True:
+            r = rng.randrange(ring.modulus)
+            if not unit or r % ring.p:
+                return ring(r)
+    cs = [rng.randrange(ring.base.modulus) for _ in range(ring.D + 1)]
+    if unit:
+        while cs[0] % ring.p == 0:
+            cs[0] = rng.randrange(ring.base.modulus)
+    return ring(cs)
+
+
+def random_sl2(rng: random.Random, ring) -> Mat2:
+    """Element of SL2 over Zp or ZpT with determinant exactly 1, built
+    constructively: either a is a unit and d = (1 + bc) / a, or a = 0,
+    c = -1/b and d is free."""
+    if rng.random() < 0.15:
+        b = _random_residues(rng, ring, unit=True)
+        d = _random_residues(rng, ring, unit=False)
+        return Mat2(ring.zero, b, -b.invert_unit(), d)
+    a = _random_residues(rng, ring, unit=True)
+    b = _random_residues(rng, ring, unit=False)
+    c = _random_residues(rng, ring, unit=False)
+    d = (b * c + 1) * a.invert_unit()
+    return Mat2(a, b, c, d)

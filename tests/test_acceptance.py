@@ -14,11 +14,10 @@ import random
 
 import pytest
 
-from oracles import rep_scan
+from oracles import group_ring_matrix, random_sl2, rep_scan
 from twobridge.deformations import (
     Representation,
     build_family,
-    random_sl2,
     specialize_family,
     trace_axioms,
     universality_certificate,
@@ -26,7 +25,6 @@ from twobridge.deformations import (
 from twobridge.groupring import fundamental_identity_defect
 from twobridge.homology import (
     ad_cohomology,
-    apply_rep,
     chain_contraction,
     delta0_h0,
     fox_images,
@@ -93,7 +91,7 @@ def test_trefoil_pipeline():
     F3 = res.ring
     ta = twisted_alexander(fam.pres, res)
     expected = LaurentPoly(F3, {0: 1, 2: 1})
-    for r in ta.results:
+    for r in ta:
         assert r.quotient is not None
         assert eq_up_to_unit(r.quotient, expected)
         assert r.value_at_one() == F3(2)
@@ -119,7 +117,7 @@ def test_figure_eight_pipeline():
 
     ta = twisted_alexander(fam.pres, res)
     expected = LaurentPoly(F7, {-2: 1, -1: 4, 0: 1})
-    for r in ta.results:
+    for r in ta:
         assert r.quotient is not None
         assert eq_up_to_unit(r.quotient, expected)
         assert r.value_at_one() == F7(6)
@@ -287,11 +285,11 @@ def test_specialized_alexander_p11():
     c = (mu * mu * (-8) + mu * 58 - 52) * (-2)
     expected = LaurentPoly(base, {0: c.r, 1: -10, 2: c.r})
     ta = twisted_alexander(fam.pres, spec.rep)
-    for r in ta.results:
+    for r in ta:
         assert r.quotient is not None
         assert eq_up_to_unit(r.quotient, expected)
 
-    at1 = ta.value_at_one()
+    at1 = ta[0].value_at_one()
     assert at1 == (mu * mu * (-16) + mu * 116 - 99) * (-2)
     assert at1.r == 86428001
     assert at1.valuation() == 2
@@ -309,11 +307,11 @@ def test_specialized_alexander_p19():
     c = (nu * nu * (-8) + nu * 80 - 74) * (-2)
     expected = LaurentPoly(base, {0: c.r, 1: -12, 2: c.r})
     ta = twisted_alexander(fam.pres, spec.rep)
-    for r in ta.results:
+    for r in ta:
         assert r.quotient is not None
         assert eq_up_to_unit(r.quotient, expected)
 
-    at1 = ta.value_at_one()
+    at1 = ta[0].value_at_one()
     assert at1 == (nu * nu * (-16) + nu * 160 - 142) * (-2)
     assert at1.r == 133426322
     assert at1.valuation() == 2
@@ -380,8 +378,8 @@ def test_property_deleted_index_independence(rep_pool):
     assert len(rep_pool) >= 200
     for pres, rep in rep_pool:
         ta = twisted_alexander(pres, rep)
-        assert len(ta.results) == 2
-        r0, r1 = ta.results
+        assert len(ta) == 2
+        r0, r1 = ta
         assert eq_up_to_unit(
             r0.numerator * r1.denominator, r1.numerator * r0.denominator
         )
@@ -398,7 +396,7 @@ def test_property_fox_images_match_fox_derivatives(rep_pool):
     assert len(rep_pool) >= 200
     for pres, rep in rep_pool:
         for f, d in zip(fox_images(pres, rep), pres.fox):
-            assert f == apply_rep(rep, d)
+            assert f == group_ring_matrix(rep, d)
 
 
 def test_property_sqrt_and_hensel_roundtrip():
@@ -524,7 +522,7 @@ def test_alexander_at_one_matches_l_dichotomy():
     for key, value in expected_at_one.items():
         fam = FAMILIES[key]
         res = fam.rep.residual()
-        at1 = twisted_alexander(fam.pres, res).value_at_one()
+        at1 = twisted_alexander(fam.pres, res)[0].value_at_one()
         assert at1 == res.ring(value)
         nf = l_function(fam.pres, fam.rep).normal_form
         if value == 0:

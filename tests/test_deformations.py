@@ -3,8 +3,10 @@ certificates, specialization, trace axioms, SL2 sampling."""
 
 import json
 import random
+import re
 
 import pytest
+from oracles import random_sl2
 
 from twobridge import cli
 from twobridge.deformations import (
@@ -13,7 +15,6 @@ from twobridge.deformations import (
     _verify_family,
     build_family,
     character_curve_value,
-    random_sl2,
     reduced_words,
     specialize_family,
     trace_axioms,
@@ -139,7 +140,7 @@ def test_auxiliary_cubic_roots(key, param, N, D):
 def test_perturbed_family_fails_relation():
     fam = FAMILIES["rho1"]
     g1, g2 = fam.rep.matrices[1], fam.rep.matrices[2]
-    bad = Mat2(g1.a + fam.ring.T, g1.b, g1.c, g1.d)
+    bad = Mat2(g1.a + fam.ring([0, 1]), g1.b, g1.c, g1.d)
     assert not relation_holds(fam.pres, Representation(fam.ring, {1: bad, 2: g2}))
 
 
@@ -448,6 +449,32 @@ def test_trace_coordinates_match_word_matrix(ring):
                 left = word_matrix(mats, (x,) + w.letters, ring.one, ring.zero)
                 assert rep.matrix(rep.right(rep.coords(w), x)) == right, (str(w), x)
                 assert rep.matrix(rep.left(x, rep.coords(w))) == left, (str(w), x)
+
+
+@pytest.mark.parametrize(
+    "word, letter",
+    [
+        # rho(first letter) times the cached suffix: the identity, then g1
+        (gen(3), "g3^1"),
+        (gen(3, -1) * gen(1), "g3^-1"),
+        # the longest cached prefix times the remaining letters: g1, then g2 g1^-1
+        (gen(1) * gen(5), "g5^1"),
+        (gen(2) * gen(1, -1) * gen(4, -1), "g4^-1"),
+    ],
+    ids=str,
+)
+def test_representation_rejects_a_letter_it_has_no_image_for(word, letter):
+    # rho assigns g1 and g2 only; no other letter may stand in for one of them
+    rep = Representation(FAMILIES["rho1"].rep.ring, FAMILIES["rho1"].rep.matrices)
+    for evaluate in (rep.coords, rep):
+        with pytest.raises(ValueError, match="no image for the letter %s;" % re.escape(letter)):
+            evaluate(word)
+    m = rep.coords(gen(1))
+    for g, s in ((0, 1), (3, 1), (3, -1), (1, 2)):
+        with pytest.raises(ValueError, match="no image for the letter g%d\\^%d;" % (g, s)):
+            rep.right(m, (g, s))
+        with pytest.raises(ValueError, match="no image for the letter g%d\\^%d;" % (g, s)):
+            rep.left((g, s), m)
 
 
 def _reducible_pairs(ring, rng):

@@ -105,7 +105,6 @@ def test_inverse_rule(w):
 @given(words())
 def test_augmentation_of_derivative(w):
     # augmenting d(w)/dg_i counts the signed occurrences of g_i
-    ab = w.abelianize(2)
     for i in (1, 2):
-        assert sum(fox_derivative(w, i).values()) == ab[i - 1]
+        assert sum(fox_derivative(w, i).values()) == sum(s for g, s in w if g == i)
 

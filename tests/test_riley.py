@@ -535,6 +535,22 @@ def test_mul_matches_schoolbook_with_monomials(terms, mono1, mono2, k):
     assert f.terms == f_terms and BivariatePoly(m1).terms == m1
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_bivariate, st.sampled_from([3, 5, 7, 11]), st.integers(-30, 30), st.integers(-30, 30))
+def test_eval_modp_matches_the_value_times_a_power_of_a(terms, p, a, b):
+    # with s lifting every first exponent to >= 0, a^s times the value is
+    # a plain integer sum; a negative exponent at a = 0 mod p raises
+    f = BivariatePoly(terms)
+    s = max([0] + [-i for i, _ in f.terms])
+    if s and a % p == 0:
+        with pytest.raises(ValueError):
+            f.eval_modp(a, b, p)
+        return
+    shifted = sum(c * a ** (i + s) * b**j for (i, j), c in f.terms.items())
+    assert 0 <= f.eval_modp(a, b, p) < p
+    assert (f.eval_modp(a, b, p) * a**s - shifted) % p == 0
+
+
 @pytest.mark.parametrize("mnp", EXAMPLE_COMBOS)
 def test_riley_consistency_at_rational_points(mnp):
     # every a.i. point whose eigenvalue parameter exists in F_p yields an

@@ -106,12 +106,36 @@ def test_only_the_cli_shapes_json():
     assert [key for key in _package_namespace() if key[2:] == ("to_json",)] == []
 
 
+# names deleted because no subcommand, demo or reference check reached
+# them; random_sl2 and _random_residues live on in tests/oracles.py
+DELETED = (
+    ("twobridge", "random_sl2"),
+    ("twobridge", "TwistedAlexander"),
+    ("twobridge.words", "FreeWord", "__pow__"),
+    ("twobridge.words", "FreeWord", "is_identity"),
+    ("twobridge.words", "FreeWord", "abelianize"),
+    ("twobridge.padics", "ZpT", "T"),
+    ("twobridge.matrices", "Mat2", "__neg__"),
+    ("twobridge.matrices", "Mat2", "scale"),
+    ("twobridge.laurent", "power"),
+    *(("twobridge.laurent", "LaurentPoly", name) for name in ("one", "constant", "_coerce", "__radd__", "__rsub__", "__pow__")),
+    ("twobridge.homology", "apply_rep"),
+    ("twobridge.homology", "TwistedAlexander"),
+    ("twobridge.deformations", "random_sl2"),
+    ("twobridge.deformations", "_random_residues"),
+)
+
+
+def test_deleted_names_stay_deleted():
+    namespace = _package_namespace()
+    assert [key for key in DELETED if key in namespace] == []
+
+
 # the package's NamedTuple records, by module
 RECORDS = {
     "deformations": ("DeformationFamily", "Specialization", "Certificate", "AxiomViolation", "AxiomReport"),
     "homology": (
         "AlexanderResult",
-        "TwistedAlexander",
         "TorsionReport",
         "FittingResult",
         "VanishingReport",

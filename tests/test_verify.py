@@ -149,6 +149,28 @@ def test_specialized_zero_at_precision_is_indeterminate_but_mismatch_fails(monke
     assert "specialized-alexander-at-1" in failed
 
 
+def _failed_rows(example_id):
+    return {r.name for r in run_example(example_id).rows if not r.passed}
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_tampered_residual_det_g2_fails_its_row(example_id, monkeypatch):
+    ex = get_example(example_id)
+    wrong = ex._replace(residual_det_g2=ex.residual_det_g2 + 1)
+    monkeypatch.setattr("twobridge.verify.get_example", lambda example_id: wrong)
+    assert _failed_rows(example_id) == {"residual-det-g2"}
+
+
+@pytest.mark.parametrize("h0, h1, h2", [(0, 0, 0), (0, 2, 1), (1, 2, 1)])
+def test_adjoint_cohomology_row_fails_off_its_pattern(h0, h1, h2, monkeypatch):
+    # the row asks for h0 = 0, h1 = h2 >= 1 and Euler characteristic 0;
+    # each of these dimensions breaks part of that (h2 = 0; h1 != h2 and
+    # Euler characteristic -1; h0 = 1)
+    dims = homology.CohomologyDims(h0=h0, h1=h1, h2=h2, rank_d0=3 - h0, rank_d1=3 - h2)
+    monkeypatch.setattr(verify, "ad_cohomology", lambda pres, rep: dims)
+    assert _failed_rows("4.5.1") == {"adjoint-cohomology"}
+
+
 @pytest.mark.parametrize("N", [16, 32])
 @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
 def test_verify_example_at_roadmap_precisions(example_id, N):
