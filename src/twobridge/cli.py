@@ -130,7 +130,10 @@ def cmd_char_points(args) -> int:
         "m": args.m,
         "n": args.n,
         "p": args.p,
-        "points": [pt._asdict() for pt in pts],
+        "points": [
+            {"x": x, "y": y, "on_abelian_line": line, "absolutely_irreducible": irreducible}
+            for x, y, line, irreducible in pts
+        ],
         "count": len(pts),
     }
 

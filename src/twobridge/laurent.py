@@ -49,9 +49,12 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, PadicInt)):
-            c = other.r if isinstance(other, PadicInt) else other
-            return LaurentPoly(self.ring, {k: v * c for k, v in self.coeffs.items()})
+        if isinstance(other, PadicInt):
+            if other.ring is not self.ring:
+                raise ValueError("scalar from incompatible ring %r" % (other.ring,))
+            other = other.r
+        if isinstance(other, int):
+            return LaurentPoly(self.ring, {k: v * other for k, v in self.coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)

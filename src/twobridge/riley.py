@@ -12,15 +12,19 @@ y - x^2 + 2 (with y the trace of g1 g2) gives the plane model Psi(x,y),
 normalized monic in its y-leading coefficient.
 
 The row is built on packed integers (Kronecker substitution): each
-entry is one int with the coefficient of t^i u^j in the S-bit slot
-j (2L + 3) + i + L + 1, L = |w|, so t^(+-1) and u are shifts. S comes
-from a coefficient bound read off the word: 64 bits for m < 91, 128 for
-m < 183, 192 for m < 275, 256 for m < 367. phi is formed packed and
-decoded. Both coordinate changes run packed as well, each in slots
-sized from a bound on its result read off its decoded input:
-sum c_k V_k by Clenshaw's recurrence, where multiplying by x is a shift,
-and u = y - x^2 + 2 by Horner's rule, two shifts and three adds per
-power of u. phi, phi_xu and psi are each decoded once.
+entry is one int. W_11 is even in t and W_12 odd, so each is packed in
+t^2 with its parity as offset: the coefficient of t^i u^j sits in the
+S-bit slot j (L + 1) + floor(i/2) + L/2, L = |w|, one slot per exponent
+of that parity; t^(+-1) is no shift or a one-slot shift, u a shift by
+a u-row. S comes from a coefficient bound read off the word: 64 bits
+for m < 91, 128 for m < 183, 192 for m < 275, 256 for m < 367. phi is
+formed packed and decoded. Both coordinate changes run packed as well,
+in X = x^2, each in slots sized from a bound on its result read off its
+decoded input; the even and the odd part of the input go apart, and a
+Riley input has the even part alone: sum c_k V_k by Clenshaw's
+recurrence in z = X - 2, where multiplying by z is a shift and a
+subtraction, and u = y - X + 2 by Horner's rule, two shifts and three
+adds per power of u. phi, phi_xu and psi are each decoded once.
 """
 
 from __future__ import annotations
@@ -239,10 +243,21 @@ def _first_row(pres: TwoBridgePresentation) -> tuple[int, int, int]:
     C^s sends it to (a t^s, s a + b t^-s) and D^s to (a t^s + s b u,
     b t^-s).
 
-    Layout: with L = |w|, the coefficient of t^i u^j is the S-bit slot
-    j (2L + 3) + i + L + 1. W's t-exponents lie in -L..L, so the factor
-    t^(+-1) of phi stays inside a u-row, and a right shift by S bits is
-    exact. Bound: a letter C^s gives a row (a, b) 1-norms
+    Parity: each letter multiplies an entry by t^(+-1), or adds to it the
+    other entry times t^(-+1) or u, so after k letters a has t-parity
+    k mod 2, b the other one, and both have t-exponents in -k..k. As w
+    alternates g1 and g2 from g1, C meets an even a and D an odd one,
+    and L = |w| = m - 1 is even, so W_11 is even and W_12 odd in t.
+
+    Layout: t^e u^j sits in the S-bit slot j (L + 1) + floor(e/2) + L/2,
+    one slot per exponent of the entry's parity. t leaves floor(e/2) as
+    it is on an even entry and t^-1 on an odd one; the other way round
+    it moves one slot. So C costs no shift by S bits, C^-1 two, D two
+    and D^-1 none, and D^(+-1) one more, of b by a u-row. Margin:
+    every entry, and every summand of an update, has t-exponents in
+    -L..L, which are the slots 0..L of its u-row; so no one-slot shift
+    leaves its u-row, and a right shift by S bits drops only empty
+    slots and is exact. Bound: a letter C^s gives a row (a, b) 1-norms
     (|a|, <= |a| + |b|) and D^s (<= |a| + |b|, |b|), so they grow at
     most like Fibonacci numbers; S = _slot(3 max(|a|, |b|)), as phi
     adds a factor 3.
@@ -255,13 +270,13 @@ def _first_row(pres: TwoBridgePresentation) -> tuple[int, int, int]:
         else:
             na += nb
     S = _slot(3 * max(na, nb))
-    U = S * (2 * L + 3)
-    a, b = 1 << S * (L + 1), 0
+    U = S * (L + 1)
+    a, b = 1 << S * (L // 2), 0
     for g, s in pres.w:
-        if g == 1:
-            a, b = (a << S, a + (b >> S)) if s == 1 else (a >> S, (b << S) - a)
-        else:
-            a, b = ((a << S) + (b << U), b >> S) if s == 1 else ((a >> S) - (b << U), b << S)
+        if g == 1:  # a even, b odd
+            a, b = (a, a + b) if s == 1 else (a >> S, (b << S) - a)
+        else:  # a odd, b even
+            a, b = ((a << S) + (b << U), b >> S) if s == 1 else (a - (b << U), b)
     return a, b, S
 
 
@@ -280,11 +295,11 @@ def _slots(v: int, S: int) -> Iterator[tuple[int, int]]:
     return zip(compress(range(n), coeffs), filter(None, coeffs))
 
 
-def _unpack(v: int, L: int, S: int) -> dict[tuple[int, int], int]:
-    """The nonzero coefficients, by (i, j), of an entry v packed as in
-    _first_row for a word of length L in S-bit slots."""
-    stride, low = 2 * L + 3, L + 1
-    return {(k % stride - low, k // stride): c for k, c in _slots(v, S)}
+def _unpack(v: int, L: int, S: int, odd: int = 0) -> dict[tuple[int, int], int]:
+    """The nonzero coefficients, by (i, j), of an entry v of t-parity odd
+    packed as in _first_row for a word of length L in S-bit slots."""
+    stride, low = L + 1, L // 2
+    return {(2 * (k % stride - low) + odd, k // stride): c for k, c in _slots(v, S)}
 
 
 def _chebyshev(sym: BivariatePoly) -> tuple[dict[tuple[int, int], int], int]:
@@ -292,15 +307,20 @@ def _chebyshev(sym: BivariatePoly) -> tuple[dict[tuple[int, int], int], int]:
     with coefficients polynomial in u: its nonzero coefficients by
     (x-exponent, u-exponent), and the slot width S used.
 
-    Each column c_k(u), the coefficient of t^k (k >= 0), is packed with
-    u^j in the S-bit slot j, and x is a shift by one u-row of U slots
-    (layout: x slow, u fast). Clenshaw's recurrence
-    b_k = c_k + x b_(k+1) - b_(k+2), k = K .. 1, then gives
-    sum c_k V_k = c_0 + x b_1 - 2 b_2 (V_0 = 2, V_1 = x,
-    V_k = x V_(k-1) - V_(k-2)). Every step is exact on ints, so only the
-    result must fit its slots: its coefficients are at most
-    ||sym||_1 F_(K+2), as V_k (k >= 1) has 1-norm the Lucas number
-    L_k <= F_(k+2).
+    With c_k(u) the coefficient of t^k (k >= 0), sym = c_0 + sum c_k V_k
+    (V_0 = 2, V_1 = x, V_k = x V_(k-1) - V_(k-2)). The even and the odd
+    k are summed apart, each in X = x^2 by z = X - 2 = t^2 + t^-2:
+    V_2j(x) = V_j(z), and V_(2j+1)(x) = x O_j(z) with O_0 = 1,
+    O_1 = z - 1, O_(j+1) = z O_j - O_(j-1). With e_j = c_2j, and then
+    e_j = c_(2j+1), Clenshaw's recurrence b_j = e_j + z b_(j+1) - b_(j+2),
+    j = J .. 1, gives e_0 + sum_(j >= 1) e_j V_j(z) = e_0 + z b_1 - 2 b_2
+    and sum_(j >= 0) e_j O_j(z) = e_0 + (z - 1) b_1 - b_2. Each column
+    is packed with u^j in the S-bit slot j, and X is a shift by one
+    u-row of U slots (layout: X slow, u fast), so z b is a shift and a
+    subtraction. A Riley input is even in t and runs the even part
+    alone. Every step is exact on ints, so only the result must fit its
+    slots: its coefficients are at most ||sym||_1 F_(K+2), as V_k
+    (k >= 1) has 1-norm the Lucas number L_k <= F_(k+2).
     """
     K, U = sym.max_first(), sym.degree_second() + 1
     fib, nxt = 0, 1
@@ -312,10 +332,17 @@ def _chebyshev(sym: BivariatePoly) -> tuple[dict[tuple[int, int], int], int]:
         if i >= 0:
             columns[i] += c << S * j
     X = S * U
-    b1 = b2 = 0
-    for c in reversed(columns[1:]):
-        b1, b2 = c + (b1 << X) - b2, b1
-    return {divmod(k, U): c for k, c in _slots(columns[0] + (b1 << X) - 2 * b2, S)}, S
+    out = {}
+    for odd in (0, 1):
+        part = columns[odd::2]
+        if not any(part):
+            continue
+        b1 = b2 = 0
+        for c in reversed(part[1:]):
+            b1, b2 = c + (b1 << X) - 2 * b1 - b2, b1
+        v = part[0] + (b1 << X) - (2 + odd) * b1 - (2 - odd) * b2
+        out.update({(2 * (k // U) + odd, k % U): c for k, c in _slots(v, S)})
+    return out, S
 
 
 def _symmetrize(phi: BivariatePoly) -> tuple[int, BivariatePoly]:
@@ -334,28 +361,40 @@ def _substitute_u(phi_xu: BivariatePoly, sign: int) -> tuple[dict[tuple[int, int
     """sign * phi_xu(x, y - x^2 + 2): its nonzero coefficients by
     (x-exponent, y-exponent), and the slot width S used.
 
-    Each row Phi_j(x), the coefficient of u^j, is packed with x^i in the
-    S-bit slot i, and y is a shift by one x-row of X = max(i + 2j) + 1
-    slots (layout: y slow, x fast), the x-degree bound of the result.
-    Horner's rule out <- out (y - x^2 + 2) + Phi_j, from the top j down,
-    is two shifts and three adds per power of u. Every step is exact on
-    ints, so only the result must fit its slots: its coefficients are at
-    most sum ||Phi_j||_1 4^j, as (y - x^2 + 2)^j has 1-norm 4^j.
+    The even and the odd powers of x are substituted apart, each in
+    X = x^2, as u = y - X + 2 keeps the parity: phi_xu = E(X, u) +
+    x O(X, u). Each row, the coefficient of u^j, is packed with X^i in
+    the S-bit slot i, and y is a shift by one X-row of
+    R = max(floor(i/2) + j) + 1 slots over phi_xu's terms x^i u^j
+    (layout: y slow, X fast). Horner's rule out <- out (y - X + 2) + row_j,
+    from the top j down, is two shifts and three adds per power of u,
+    and multiplying by X is a one-slot shift. Margin: out before the
+    step for u^j has X-degree at most max(floor(i/2) + j' - j - 1) over
+    the terms with j' > j, so out X stays below R, inside its y-row. A
+    Riley input is even in x and runs the even part alone. Every step is
+    exact on ints, so only the result must fit its slots: its
+    coefficients are at most sum ||Phi_j||_1 4^j, with Phi_j the
+    coefficient of u^j, as (y - x^2 + 2)^j has 1-norm 4^j.
     """
     top = phi_xu.degree_second()
-    X = max((i + 2 * j for i, j in phi_xu.terms), default=0) + 1
+    R = max((i // 2 + j for i, j in phi_xu.terms), default=0) + 1
     norms = [0] * (top + 1)
     for (_, j), c in phi_xu.terms.items():
         norms[j] += abs(c)
     S = _slot(sum(n << 2 * j for j, n in enumerate(norms)))
-    rows = [0] * (top + 1)
+    parts = [[0] * (top + 1), [0] * (top + 1)]  # the rows of E and of O
     for (i, j), c in phi_xu.terms.items():
-        rows[j] += c << S * i
-    Y = S * X
-    out = 0
-    for row in reversed(rows):
-        out = (out << Y) - (out << 2 * S) + 2 * out + row
-    return {(k % X, k // X): c for k, c in _slots(sign * out, S)}, S
+        parts[i & 1][j] += c << S * (i >> 1)
+    Y = S * R
+    out = {}
+    for odd, rows in enumerate(parts):
+        if not any(rows):
+            continue
+        v = 0
+        for row in reversed(rows):
+            v = (v << Y) - (v << S) + 2 * v + row
+        out.update({(2 * (k % R) + odd, k // R): c for k, c in _slots(sign * v, S)})
+    return out, S
 
 
 class RileyData(NamedTuple):
@@ -372,7 +411,8 @@ class RileyData(NamedTuple):
 
 def riley_polynomial(pres: TwoBridgePresentation) -> RileyData:
     a, b, S = _first_row(pres)
-    phi = BivariatePoly._wrap(_unpack(a + (b >> S) - (b << S), len(pres.w), S))
+    # b is odd in t: b/t costs no shift, b t one
+    phi = BivariatePoly._wrap(_unpack(a + b - (b << S), len(pres.w), S))
     l, phi_xu = _symmetrize(phi)
     # psi's y-leading coefficient is phi_xu's u-leading one
     sign = -1 if phi_xu.coeff_of_second(phi_xu.degree_second()) == -1 else 1
@@ -434,25 +474,31 @@ def _gcd_minus(h: dict[int, int], w: dict[int, int], c: int, p: int) -> dict[int
     return _poly_gcd_field(h, {e: v for e, v in w.items() if v}, p)
 
 
-def _small_roots(h: dict[int, int], p: int) -> list[int]:
+def _square_roots(p: int) -> dict[int, int]:
+    """Each square of F_p mapped to its square root in [0, (p-1)/2]."""
+    return {x0 * x0 % p: x0 for x0 in range((p + 1) // 2)}
+
+
+def _small_roots(h: dict[int, int], p: int, root: dict[int, int]) -> list[int]:
     """The distinct roots in F_p of a monic h of degree <= 2: none, -h_0,
-    or the quadratic formula (-b +- sqrt(b^2 - 4c)) / 2."""
+    or the quadratic formula (-b +- sqrt(b^2 - 4c)) / 2, the square root
+    read from root = _square_roots(p)."""
     top = max(h)
     if top == 0:
         return []
     if top == 1:
         return [-h.get(0, 0) % p]
     b, c = h.get(1, 0), h.get(0, 0)
-    s = sqrt_mod_prime(b * b - 4 * c, p)
+    s = root.get((b * b - 4 * c) % p)
     if s is None:
         return []
     half = (p + 1) // 2  # 1/2 in F_p
     return sorted({(-b + s) * half % p, (-b - s) * half % p})
 
 
-def _roots_modp(f: dict[int, int], p: int) -> list[int]:
+def _roots_modp(f: dict[int, int], p: int, root: dict[int, int]) -> list[int]:
     """The distinct roots in F_p of a nonzero f over F_p (exponent ->
-    nonzero residue), p an odd prime, sorted.
+    nonzero residue), p an odd prime, sorted; root = _square_roots(p).
 
     A power of y dividing f gives the root 0 and is divided out; f is
     then made monic, and degrees up to 2 are answered by _small_roots.
@@ -472,14 +518,14 @@ def _roots_modp(f: dict[int, int], p: int) -> list[int]:
     inv = pow(f[top + low], -1, p)
     f = {e - low: c * inv % p for e, c in f.items()}
     if top <= 2:
-        return sorted(roots + _small_roots(f, p))
+        return sorted(roots + _small_roots(f, p, root))
     half = (p - 1) // 2
     r = _residue_power(0, half, f, p)
     todo = [_gcd_minus(f, r, 1, p), _gcd_minus(f, r, -1, p)]
     while todo:
         h = todo.pop()
         if max(h) <= 2:
-            roots += _small_roots(h, p)
+            roots += _small_roots(h, p, root)
             continue
         for a in range(1, p):
             s = _gcd_minus(h, _residue_power(a, half, h, p), 1, p)
@@ -518,7 +564,7 @@ def char_points(pres: TwoBridgePresentation, p: int) -> list[CharacterPoint]:
         if i % 2:
             raise RuntimeError("Psi of B(%d, %d) has an odd power of x" % (pres.m, pres.n))
         columns.setdefault(i // 2, [0] * (top + 1))[top - j] = c % p
-    root = {x0 * x0 % p: x0 for x0 in range((p + 1) // 2)}  # square roots in [0, (p-1)/2]
+    root = _square_roots(p)
     zeros: list[list[int]] = [[] for _ in range(p)]  # zeros[x0]: the y0 with Psi(x0, y0) = 0, rising
     for y0 in range(p):
         f = {}
@@ -528,7 +574,7 @@ def char_points(pres: TwoBridgePresentation, p: int) -> list[CharacterPoint]:
                 v = v * y0 + c
             if v % p:
                 f[k] = v % p
-        for X0 in _roots_modp(f, p) if f else root:  # f = 0: every square X0
+        for X0 in _roots_modp(f, p, root) if f else root:  # f = 0: every square X0
             if X0 in root:
                 for x0 in {root[X0], -root[X0] % p}:
                     zeros[x0].append(y0)

@@ -2,6 +2,7 @@
 unit-equivalence, residue-field gcd."""
 
 import random
+import re
 
 import pytest
 
@@ -43,6 +44,18 @@ def test_arithmetic_basics():
     assert (f * 0).is_zero
     assert f * R(2) == f * 2
     assert (f * f).coeffs == {-2: 4, -1: 4, 0: 1}
+
+
+@pytest.mark.parametrize("foreign", [Zp(7, 1), Zp(5, 3)], ids=repr)
+def test_scalar_product_rejects_a_scalar_from_another_ring(foreign):
+    f = LaurentPoly(Zp(5, 2), {0: 1, 1: 3})
+    # a scalar of f's own ring is taken on either side
+    assert (f * Zp(5, 2)(3)).coeffs == (Zp(5, 2)(3) * f).coeffs == {0: 3, 1: 9}
+    message = "^scalar from incompatible ring %s$" % re.escape(repr(foreign))
+    with pytest.raises(ValueError, match=message):
+        f * foreign(3)
+    with pytest.raises(ValueError, match=message):
+        foreign(3) * f
 
 
 def test_shift_and_exponents():

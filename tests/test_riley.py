@@ -37,6 +37,7 @@ from twobridge.riley import (
     _first_row,
     _residue_power,
     _roots_modp,
+    _square_roots,
     _substitute_u,
     _symmetrize,
     _unpack,
@@ -93,10 +94,12 @@ def test_psi_goldens(mn):
 
 
 def _row_and_phi(pres):
-    """W_11, W_12 and phi = W_11 + (1/t - t) W_12 (formed packed), each
-    decoded, and the slot width."""
+    """W_11 (even in t), W_12 (odd) and phi = W_11 + (1/t - t) W_12
+    (formed packed, where b/t costs no shift), each decoded, and the
+    slot width."""
     a, b, S = _first_row(pres)
-    return [_unpack(v, len(pres.w), S) for v in (a, b, a + (b >> S) - (b << S))], S
+    L = len(pres.w)
+    return [_unpack(a, L, S), _unpack(b, L, S, 1), _unpack(a + b - (b << S), L, S)], S
 
 
 def test_b31_intermediates():
@@ -151,6 +154,8 @@ def test_packed_rows_match_the_dict_update(m, ns):
         (*got, phi), S = _row_and_phi(two_bridge(m, n))
         oracle = riley_rows(m, n)[:2]
         assert got == oracle, (m, n)
+        # the packing in t^2 rests on this: W_11 is even in t and W_12 odd
+        assert [{i % 2 for i, _ in e} for e in oracle] == [{0}, {1}], (m, n)
         want = dict(oracle[0])
         for shift, k in ((-1, 1), (1, -1)):
             for (i, j), c in oracle[1].items():
@@ -245,6 +250,11 @@ def _symmetric_and_signed(draw):
 @example(({(0, 0): -1}, -1, 1))
 @example(({(8, 5): 2**200, (-8, 5): 2**200, (0, 0): -(2**200)}, 1, 0))
 @example(({(k, j): (-1) ** ((k + j) % 2) * 2**200 for k in range(-8, 9) for j in range(6)}, -1, -3))
+# odd in t only, so phi_xu odd in x: both coordinate changes run their odd part alone
+@example(({(k, j): (k * k + j) * (-1) ** j for k in (-7, -3, -1, 1, 3, 7) for j in (0, 2, 5)}, 1, 2))
+@example(({(1, 0): -(2**200), (-1, 0): -(2**200)}, -1, 0))
+# both parities, with the top coefficient in an odd column
+@example(({(0, 3): 5, (2, 0): -4, (-2, 0): -4, (5, 1): 2**150, (-5, 1): 2**150}, 1, -1))
 def test_packed_coordinate_changes_match_on_random_polynomials(case):
     # signed coefficients of up to 200 bits: the borrow across slots and the
     # bias of the decoder at 64-bit to 256-bit slots
@@ -374,7 +384,7 @@ def _structured_polys(draw):
 def test_roots_modp_matches_brute_force(fp):
     f, p = fp
     brute = [y for y in range(p) if sum(c * pow(y, e, p) for e, c in f.items()) % p == 0]
-    assert _roots_modp(f, p) == brute
+    assert _roots_modp(f, p, _square_roots(p)) == brute
 
 
 def _product_modp(factors, p, lead=1):
@@ -413,7 +423,7 @@ def test_roots_modp_on_constructed_polynomials(case):
     f = _product_modp(factors, p, lead)
     assert max(f) == sum(max(g) for g in factors)
     brute = [y for y in range(p) if sum(c * pow(y, e, p) for e, c in f.items()) % p == 0]
-    assert _roots_modp(f, p) == brute == roots
+    assert _roots_modp(f, p, _square_roots(p)) == brute == roots
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -477,7 +487,8 @@ def test_psi_is_even_in_x():
 
 def _assert_char_points_match_by_x(pres, p):
     got = [(q.x, q.y, q.on_abelian_line, q.absolutely_irreducible) for q in char_points(pres, p)]
-    assert got == char_points_by_x(pres.riley.psi.terms, p, _roots_modp), p
+    root = _square_roots(p)
+    assert got == char_points_by_x(pres.riley.psi.terms, p, lambda f, q: _roots_modp(f, q, root)), p
 
 
 @pytest.mark.parametrize("mn", [(m, n) for m in range(3, 16, 2) for n in _coprime_ns(m)], ids=str)
@@ -500,7 +511,7 @@ def test_roots_modp_raises_when_no_shift_splits(monkeypatch):
     monkeypatch.setattr(riley, "_residue_power", lambda a, k, h, p: {0: 1})
     f = _product_modp([_lin(1), _lin(2), _lin(3)], 7)
     with pytest.raises(RuntimeError, match="no a < 7 splits a root factor of degree 3"):
-        _roots_modp(f, 7)
+        _roots_modp(f, 7, _square_roots(7))
 
 
 _coeffs = st.integers(-6, 6)

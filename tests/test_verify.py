@@ -171,6 +171,29 @@ def test_adjoint_cohomology_row_fails_off_its_pattern(h0, h1, h2, monkeypatch):
     assert _failed_rows("4.5.1") == {"adjoint-cohomology"}
 
 
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_wrong_riley_polynomial_fails_its_row(example_id, monkeypatch):
+    # -Psi has the zeros of Psi, so every stage that solves or evaluates
+    # Psi = 0 still passes; the reference terms of Psi do not match
+    def negated(pres):
+        data = riley_polynomial(pres)
+        return data._replace(psi=data.psi * -1)
+
+    monkeypatch.setattr(riley, "riley_polynomial", negated)
+    assert _failed_rows(example_id) == {"riley"}
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_wrong_char_points_fail_their_row(example_id, monkeypatch):
+    # every F_p point read as reducible: the designated point is not among
+    # the absolutely irreducible ones, and no other row reads them
+    def reducible(pres, p):
+        return [pt._replace(absolutely_irreducible=False) for pt in riley.char_points(pres, p)]
+
+    monkeypatch.setattr(verify, "char_points", reducible)
+    assert _failed_rows(example_id) == {"char-point"}
+
+
 @pytest.mark.parametrize("N", [16, 32])
 @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
 def test_verify_example_at_roadmap_precisions(example_id, N):
