@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / all checks passed; 1 failed verification or
 arithmetic failure (with a distinct message when precision was
-exhausted); 2 parameter errors.  --json emits one deterministic JSON
-document on standard output; this module alone shapes it.
+exhausted, and when memory ran out); 2 parameter errors.  --json emits
+one deterministic JSON document on standard output; this module alone
+shapes it.
 """
 
 from __future__ import annotations
@@ -324,6 +325,10 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         print("verification failed: %s" % exc, file=sys.stderr)
+        return 1
+    except MemoryError:  # the input outgrew the memory this process may use
+        print("out of memory: %s input too large for the available memory" % args.command,
+              file=sys.stderr)
         return 1
 
 

@@ -12,8 +12,10 @@ instead of switching branch.
 The four built-in families rho1..rho4 share one constructor,
 _sl2_family. Along a family, y = tr rho(g1 g2) is the root of the Riley
 polynomial Psi(x, y) = 0 (pres.riley.psi) at x = alpha + T that reduces
-to the character point's y0: Hensel-lifted over Z_p at x = alpha, then
-in T from that seed. g1 = [[(x+q)/2, b], [c, (x-q)/2]] with b = +-1 and
+to the character point's y0: lifted by Newton over Z_p at x = alpha,
+then solved in T by its coefficient recurrence from that seed, and
+checked once, Psi(x, y) = 0 at full precision (padics.hensel_root).
+g1 = [[(x+q)/2, b], [c, (x-q)/2]] with b = +-1 and
 q = sqrt(x^2 - 4 - 4bc); g2 is g1 with its diagonal swapped (rho1, rho2,
 rho4), so that y = 2 + 4bc, or with its off-diagonal negated (rho3), so
 that y = x^2 - 2 - 4bc, and either fixes c. Each build_rhoN states its

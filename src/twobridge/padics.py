@@ -21,22 +21,22 @@ into the next, and the low D+1 slots are read back.
 
 Square roots follow a fixed branch: sqrt(a) is the root whose reduction
 mod (p, T) lies in {1, ..., (p-1)/2}, lifted as the root of y^2 - a.
-hensel_root is the one Newton lift: s -> s - f(s)/f'(s) from a root mod
-(p, T). A series root is lifted over Z_p first, from its residue, and
-then in T. The first steps run at doubling precision in smaller rings
-(Brent and Kung 1978): Zp(p, n) for n = 2, 4, 8, ... < N, and then
-ZpT(p, N, d) for d = 1, 3, 7, ... < D, each step doubling the (p, T)-adic
-precision of the iterate. A step into a ring starts from a root in the
-previous, half-size ring, so f(s) lies in that ring's ideal, which the
-step squares: f'(s) is inverted in the previous ring and the inverse
-lifted. The loop then finishes at full precision and returns as soon
-as f(s) = 0, so the step that confirms the root costs one residual and
-no inversion, and no inversion runs at full precision.
+hensel_root lifts a simple root from a root mod (p, T). Over Z_p it is
+Newton's step s -> s - f(s)/f'(s), its first steps at doubling precision
+in Zp(p, n), n = 2, 4, 8, ... < N (Brent and Kung 1978); each step
+starts from a root in the previous, half-size ring, so f'(s) is inverted
+there, and the loop returns at the first zero residual at full
+precision. A series root is lifted over Z_p first, then solved in T one
+coefficient at a time by its recurrence, with f'(s_0) inverted once in
+Zp(p, N) and no series inversion, and checked once: f(s) = 0 at full
+precision. With schoolbook products this is cheaper than Newton in T,
+which repeats whole products at every step (van der Hoeven 2002).
 """
 
 from __future__ import annotations
 
 import struct
+from operator import mul
 from typing import NamedTuple, Sequence
 
 
@@ -128,7 +128,7 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
 
 
 def _newton_cap(modulus_exponent: int) -> int:
-    # Newton doubles (p,T)-adic precision per step; small slack on top.
+    # Newton doubles p-adic precision per step; small slack on top.
     return max(1, modulus_exponent.bit_length()) + 4
 
 
@@ -531,18 +531,9 @@ class PadicSeries:
 # --- square roots and Hensel lifting -----------------------------------
 
 
-def _modulus_exponent(x) -> int:
-    # Smallest M with m^M inside the zero ideal, m the maximal ideal.
-    if isinstance(x, PadicInt):
-        return x.ring.N
-    return x.ring.N + x.ring.D + 1
-
-
-def _doubling_rings(ring) -> list:
-    # Zp(p, n) for n = 2, 4, 8, ... < N, or ZpT(p, N, d) for d + 1 = 2, 4, 8, ... < D + 1
-    if isinstance(ring, Zp):
-        return [Zp(ring.p, 1 << k) for k in range(1, (ring.N - 1).bit_length())]
-    return [ZpT(ring.p, ring.N, (1 << k) - 1) for k in range(1, ring.D.bit_length())]
+def _doubling_rings(ring: Zp) -> list:
+    # Zp(p, n) for n = 2, 4, 8, ... < N
+    return [Zp(ring.p, 1 << k) for k in range(1, (ring.N - 1).bit_length())]
 
 
 def sqrt_positive(a):
@@ -582,31 +573,72 @@ def poly_derivative(coeffs: Sequence) -> list:
     return [c * k for k, c in enumerate(coeffs)][1:]
 
 
+def _root_coefficients(coeffs: list, s0: PadicInt) -> list:
+    """The coefficients of the series root s of f = sum c_j(T) y^j that is
+    s0 mod T, one at a time: [T^k] f(s) = R_k + f'(s0) s_k, where R_k is
+    that coefficient at s_k = 0, so s_k = -R_k f'(s0)^-1 mod p^N.
+
+    powers[j] holds s^j, j >= 1, coefficient by coefficient. Its T^k
+    coefficient at s_k = 0 is the sum over 0 < i < k of [T^(k-i)] s^(j-1)
+    times s_i, plus s0 times the same at s_k = 0 for s^(j-1) (for s^2,
+    each cross term once, doubled); once s_k is known, j s0^(j-1) s_k is
+    added.
+    """
+    ring = coeffs[0].ring
+    m, D, r0, top = ring.base.modulus, ring.D, s0.r, len(coeffs) - 1
+    inverse = poly_eval(poly_derivative([c.constant_term() for c in coeffs]), s0).invert_unit().r
+    s = [r0] + [0] * D
+    powers = [None, s] + [[pow(r0, j, m)] + [0] * D for j in range(2, top + 1)]
+    slopes = [(powers[j], j * pow(r0, j - 1, m) % m) for j in range(2, top + 1)]
+    # one (i, a, powers[j]) per nonzero a = [T^i] c_j, j >= 1: Psi's columns
+    # at x = alpha + T have few
+    terms = [(i, a, powers[j]) for j in range(1, top + 1) for i, a in enumerate(coeffs[j].coeffs) if a]
+    c0 = coeffs[0].coeffs
+    for k in range(1, D + 1):
+        if top >= 2:
+            h = k // 2
+            part = 2 * sum(map(mul, s[1 : k - h], s[k - 1 : h : -1])) + (0 if k % 2 else s[h] * s[h])
+            powers[2][k] = part = part % m
+        for j in range(3, top + 1):
+            part = (sum(map(mul, powers[j - 1][k - 1 : 0 : -1], s[1:k])) + part * r0) % m
+            powers[j][k] = part
+        acc = c0[k] + sum([a * pj[k - i] for i, a, pj in terms if i <= k])
+        s[k] = -acc * inverse % m
+        for pj, slope in slopes:
+            pj[k] = (pj[k] + slope * s[k]) % m
+    return s
+
+
 def hensel_root(coeffs: Sequence, seed):
-    """Lift a simple root: Newton iteration from a seed root mod (p, T).
+    """Lift a simple root from a seed root mod (p, T).
 
     coeffs lists the polynomial's coefficients, ascending, as ints or
     elements of the working ring (PadicInt or PadicSeries). Requires
     f(seed) = 0 and f'(seed) a unit mod the maximal ideal; raises
     BadSeed / SingularRoot otherwise. The returned root r satisfies
     f(r) = 0 at full precision and r = seed mod (p, T); of a series seed
-    only that residue is read.
+    only that residue is read. Over Z_p the lift is Newton's; a series
+    root is lifted over Z_p first, then solved one T-coefficient at a
+    time (_root_coefficients), and f(r) = 0 is checked once at full
+    precision, raising ArithmeticError if it fails.
     """
     ring = seed.ring
     coeffs = [ring.zero + c for c in coeffs]
-    dcoeffs = poly_derivative(coeffs)
     if isinstance(seed, PadicSeries):  # the root over Z_p first; the seed checks run there
-        s = ring.constant(hensel_root([c.constant_term() for c in coeffs], seed.constant_term()))
-    else:
-        if poly_eval(coeffs, seed).residue() != 0:
-            raise BadSeed("f(seed) is not 0 mod the maximal ideal")
-        if not poly_eval(dcoeffs, seed).is_unit:
-            raise SingularRoot("f'(seed) is not a unit mod the maximal ideal")
-        s = seed
+        s0 = hensel_root([c.constant_term() for c in coeffs], seed.constant_term())
+        root = ring(_root_coefficients(coeffs, s0))
+        if not poly_eval(coeffs, root).is_zero:
+            raise ArithmeticError("series root fails the residual check f(r) = 0")
+        return root
+    if poly_eval(coeffs, seed).residue() != 0:
+        raise BadSeed("f(seed) is not 0 mod the maximal ideal")
+    dcoeffs = poly_derivative(coeffs)
+    if not poly_eval(dcoeffs, seed).is_unit:
+        raise SingularRoot("f'(seed) is not a unit mod the maximal ideal")
     # s is a root in prev (where the seed is one, then the last step's ring),
     # so f(s) lies in prev's ideal and f'(s)^-1 mod prev is all a step needs
-    prev = Zp(ring.p, 1) if isinstance(ring, Zp) else ZpT(ring.p, ring.N, 0)
-    for r in _doubling_rings(ring) + [ring] * _newton_cap(_modulus_exponent(s)):
+    s, prev = seed, Zp(ring.p, 1)
+    for r in _doubling_rings(ring) + [ring] * _newton_cap(ring.N):
         s = s.to_ring(r)
         fs = poly_eval([c.to_ring(r) for c in coeffs], s)
         if not fs.is_zero:

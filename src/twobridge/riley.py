@@ -154,10 +154,6 @@ class BivariatePoly:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def mirror_first(self) -> "BivariatePoly":
-        """Substitute the first variable by its inverse."""
-        return BivariatePoly._wrap({(-i, j): c for (i, j), c in self.terms.items()})
-
     def shift_first(self, l: int) -> "BivariatePoly":
         return BivariatePoly._wrap({(i + l, j): c for (i, j), c in self.terms.items()})
 
@@ -351,10 +347,10 @@ def _symmetrize(phi: BivariatePoly) -> tuple[int, BivariatePoly]:
     x = t + 1/t with coefficients polynomial in u, by _chebyshev."""
     lo, hi = phi.min_first(), phi.max_first()
     l = -(lo + hi) // 2
-    sym = phi.shift_first(l)
-    if sym != sym.mirror_first():  # also when lo + hi is odd
+    # t^i u^j mirrors to t^(-2l - i) u^j; also unmatched when lo + hi is odd
+    if any(phi.terms.get((-2 * l - i, j)) != c for (i, j), c in phi.terms.items()):
         raise RuntimeError("no power of t symmetrizes phi; not a valid input")
-    return l, BivariatePoly._wrap(_chebyshev(sym)[0])
+    return l, BivariatePoly._wrap(_chebyshev(phi.shift_first(l) if l else phi)[0])
 
 
 def _substitute_u(phi_xu: BivariatePoly, sign: int) -> tuple[dict[tuple[int, int], int], int]:

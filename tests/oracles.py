@@ -13,8 +13,8 @@ the single group relation, rather than by evaluating any polynomial
 produced by the library. psi_scan does evaluate a given Psi, point by
 point, so it checks only how the points of that Psi are found;
 char_points_by_x finds them one x0 at a time with a root finder it is
-given. hensel_full_precision runs the Newton lift's doubling schedule
-with f' inverted in full in every ring.
+given. hensel_full_precision lifts a root by Newton's step on a doubling
+schedule, over Z_p and then in T, with f' inverted in full in every ring.
 """
 
 import random

@@ -470,6 +470,28 @@ def test_closed_stdout_exits_1_without_traceback(flags):
     assert err == b""
 
 
+@pytest.mark.parametrize("m, code", [(101, 0), (1000001, 1)])
+def test_out_of_memory_exits_1_with_one_line(m, code):
+    # under a 256 MB address-space cap: B(101, 1) fits, while B(1000001, 1),
+    # whose presentation takes about 550 MB uncapped, runs out within
+    # about a second and ends in one named line on stderr, not a traceback
+    limit = 256 << 20
+    argv = ["presentation", "--m", str(m), "--n", "1", "--json"]
+    child = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (%d, %d))\n"
+        "from twobridge.cli import main\n"
+        "raise SystemExit(main(%r))\n" % (limit, limit, argv)
+    )
+    r = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=300)
+    assert r.returncode == code
+    if code:
+        assert r.stdout == ""
+        assert r.stderr == "out of memory: presentation input too large for the available memory\n"
+    else:
+        assert json.loads(r.stdout)["m"] == m and r.stderr == ""
+
+
 def test_runs_without_sympy():
     # no runtime dependencies: with sympy unimportable, the commands that
     # test primality and take square roots mod p still run

@@ -452,8 +452,9 @@ def test_hensel_series():
 )
 def test_newton_lifts_match_full_precision_oracle(seed, p, N, D, degree, monic):
     # a random f of y-degree 1-4 with a simple root mod (p, T), and a
-    # random unit square: hensel_root and sqrt_positive, which invert f'
-    # in the previous ring, equal the lift that inverts f' in every ring
+    # random unit square: hensel_root and sqrt_positive (Newton with f'
+    # inverted in the previous ring over Z_p, the coefficient recurrence
+    # in T) equal the Newton lift that inverts f' in full in every ring
     rng = random.Random(seed)
     m, width = p**N, 1 if D is None else D + 1
     cs = [[rng.randrange(m) for _ in range(width)] for _ in range(degree + 1)]
@@ -549,18 +550,25 @@ NEWTON_PRECISIONS = [(40, 3), (2, 40), (12, 12), (1, 17), (17, 0)]
 @pytest.mark.parametrize("N, D", NEWTON_PRECISIONS)
 @pytest.mark.parametrize("p", [3, 11, 19])
 def test_doubling_newton_matches_the_full_precision_loop(monkeypatch, p, N, D):
+    # over Z_p the doubling schedule equals every step at full precision;
+    # in T the coefficient recurrence equals the Newton oracle, which
+    # inverts f' in full in every ring
     rng = random.Random(p * 10000 + N * 100 + D)
     R, F = ZpT(p, N, D), Zp(p, N)
-    cases = []  # (function, arguments), each run by both drivers
+    cases = []  # Z_p (function, arguments), each run by both drivers
     for _ in range(4):
         f = _random_series(rng, R, unit=True)
-        cases.append((sqrt_positive, (f * f,)))
+        a, root = f * f, min(f.residue(), p - f.residue())
+        want = hensel_full_precision([[-c for c in a.coeffs], [0], [1]], root, p, N, D)
+        assert list(sqrt_positive(a).coeffs) == want
         x = F(rng.randrange(1, p) + p * rng.randrange(F.modulus))  # a unit
         cases.append((sqrt_positive, (x * x,)))
         # (s - r0)(s - r0 - u) with u a unit: r0 is a simple root; the seed
         # is right only mod (p, T)
         r0, u = _random_series(rng, R), _random_series(rng, R, unit=True)
-        cases.append((hensel_root, ([r0 * (r0 + u), -(r0 + r0 + u), R.one], R.constant(r0.residue()))))
+        cs = [r0 * (r0 + u), -(r0 + r0 + u), R.one]
+        want = hensel_full_precision([list(c.coeffs) for c in cs], r0.residue(), p, N, D)
+        assert list(hensel_root(cs, R.constant(r0.residue())).coeffs) == want == list(r0.coeffs)
         x0, v = F(rng.randrange(F.modulus)), F(rng.randrange(1, p))
         cases.append((hensel_root, ([x0 * (x0 + v), -(x0 + x0 + v), 1], F(x0.residue()))))
     got = [fn(*args) for fn, args in cases]
@@ -570,12 +578,62 @@ def test_doubling_newton_matches_the_full_precision_loop(monkeypatch, p, N, D):
     assert [(g.ring, str(g)) for g in got] == [(w.ring, str(w)) for w in want]
 
 
+def _dense_root_case(rng, p, N, D, degree):
+    """Coefficient lists of an f of y-degree `degree` with every c_j(T)
+    dense (no zero coefficient) and a simple root r0 mod (p, T); and r0."""
+    m = p**N
+    while True:
+        cs = [[rng.randrange(1, m) for _ in range(D + 1)] for _ in range(degree + 1)]
+        r0, unit = rng.randrange(p), rng.randrange(1, p)
+        cs[1][0] = unit - sum(k * cs[k][0] * r0 ** (k - 1) for k in range(2, degree + 1)) + p * rng.randrange(m)
+        cs[0][0] = -sum(cs[k][0] * r0**k for k in range(1, degree + 1)) + p * rng.randrange(m)
+        if all(c % m for c in cs[0] + cs[1]):
+            return cs, r0
+
+
+# f linear in y, a non-monic cubic, D = 0, N = 1 and p = 3, each with
+# every c_j dense
+@pytest.mark.parametrize(
+    "p, N, D, degree",
+    [(7, 6, 10, 1), (11, 8, 12, 3), (5, 6, 0, 3), (13, 1, 9, 3), (3, 9, 14, 3), (3, 1, 0, 3)],
+)
+def test_series_root_matches_the_newton_oracle(p, N, D, degree):
+    rng = random.Random(p * 1000 + N * 50 + D * 7 + degree)
+    R = ZpT(p, N, D)
+    for _ in range(5):
+        cs, r0 = _dense_root_case(rng, p, N, D, degree)
+        root = hensel_root([R(c) for c in cs], R.constant(r0))
+        assert list(root.coeffs) == hensel_full_precision(cs, r0, p, N, D)
+        assert poly_eval([R(c) for c in cs], root).is_zero and root.residue() == r0 % p
+
+
+def test_series_root_residual_check_is_live(monkeypatch):
+    # one coefficient of the recurrence's answer off by p^(N-1) moves
+    # [T^k] f(s) by f'(s0) p^(N-1), not 0 mod p^N: the final check raises
+    p, N, D = 11, 6, 12
+    R = ZpT(p, N, D)
+    cs, r0 = _dense_root_case(random.Random(5), p, N, D, 3)
+    coeffs = [R(c) for c in cs]
+    good = hensel_root(coeffs, R.constant(r0))
+    solve = padics._root_coefficients
+
+    def corrupted(coeffs, s0):
+        s = solve(coeffs, s0)
+        s[7] += p ** (N - 1)
+        return s
+
+    monkeypatch.setattr(padics, "_root_coefficients", corrupted)
+    with pytest.raises(ArithmeticError, match="residual check"):
+        hensel_root(coeffs, R.constant(r0))
+    assert poly_eval(coeffs, good).is_zero
+
+
 def test_newton_confirms_the_root_without_an_inversion(monkeypatch):
-    # the rho3 lift at (97, 96): each Newton step inverts f'(s) in the
-    # previous, half-size ring, one full-precision step reaches the root,
-    # and the next finds a zero residual and stops, so no lift the builder
-    # makes inverts in its own ring, and every inversion it makes runs in
-    # a proper quotient of that ring
+    # the rho3 lifts at (97, 96): the Newton lift over Z_p inverts f'(s)
+    # only in the previous, half-size ring, and confirms its root at full
+    # precision with no inversion; a series root is then solved in T by
+    # its coefficient recurrence, which inverts f'(s0) once, in Zp(p, N).
+    # Building the family inverts no series at all
     from twobridge.padics import PadicInt
 
     inverted = []
@@ -583,16 +641,14 @@ def test_newton_confirms_the_root_without_an_inversion(monkeypatch):
         monkeypatch.setattr(cls, "invert_unit", lambda self, f=cls.invert_unit: inverted.append(self.ring) or f(self))
     calls = []
 
-    def smaller(r, ring):
-        return r is not ring and r.N <= ring.N and getattr(r, "D", 0) <= getattr(ring, "D", 0)
-
     def counting(fn):
         def wrapper(*args):
             start = len(inverted)
             out = fn(*args)
+            base = getattr(out.ring, "base", out.ring)
             rings = inverted[start:]
-            assert rings and all(smaller(r, out.ring) for r in rings)
-            calls.append((fn.__name__, out.ring, sum(r is out.ring for r in rings)))
+            assert rings and all(r.N <= base.N and isinstance(r, Zp) for r in rings)
+            calls.append((fn.__name__, out.ring, sum(r is out.ring for r in rings), sum(r is base for r in rings)))
             return out
 
         return wrapper
@@ -600,9 +656,10 @@ def test_newton_confirms_the_root_without_an_inversion(monkeypatch):
     for name in ("hensel_root", "sqrt_positive"):
         monkeypatch.setattr(deformations, name, counting(getattr(padics, name)))
     deformations.build_rho3(97, 96)
+    assert not [r for r in inverted if isinstance(r, ZpT)]
     F, R = Zp(11, 97), ZpT(11, 97, 96)
     assert sorted(calls, key=str) == sorted(
-        [("sqrt_positive", F, 0), ("hensel_root", R, 0), ("sqrt_positive", R, 0)], key=str
+        [("sqrt_positive", F, 0, 0), ("hensel_root", R, 0, 1), ("sqrt_positive", R, 0, 1)], key=str
     )
 
 

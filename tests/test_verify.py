@@ -8,7 +8,14 @@ import pytest
 from twobridge import cli, groupring, homology, riley, verify
 from twobridge.padics import Indeterminate
 from twobridge.registry import EXAMPLE_IDS, FAMILY_TO_ID, RILEY_PSI_TERMS, get_example
-from twobridge.deformations import build_family, specialize_family
+from twobridge.deformations import (
+    build_family,
+    character_curve_value,
+    specialize_family,
+    universality_certificate,
+)
+from twobridge.homology import chain_contraction
+from twobridge.matrices import Mat2
 from twobridge.riley import riley_polynomial
 from twobridge.verify import run_example, verify_example
 
@@ -192,6 +199,45 @@ def test_wrong_char_points_fail_their_row(example_id, monkeypatch):
 
     monkeypatch.setattr(verify, "char_points", reducible)
     assert _failed_rows(example_id) == {"char-point"}
+
+
+def _last_digit(ring):
+    """p^(N-1) T^D: the smallest nonzero series at the ring's precision."""
+    return ring([0] * ring.D + [ring.p ** (ring.N - 1)])
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_wrong_certificate_fails_its_row(example_id, monkeypatch):
+    # the certificate of the family with alpha off in its last digit: the
+    # generators' traces no longer equal alpha + T, and no other row reads
+    # the certificate
+    def shifted_alpha(fam):
+        return universality_certificate(fam._replace(alpha=fam.alpha + fam.p ** (fam.ring.N - 1)))
+
+    monkeypatch.setattr(verify, "universality_certificate", shifted_alpha)
+    assert _failed_rows(example_id) == {"certificate"}
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_nonzero_character_curve_value_fails_its_row(example_id, monkeypatch):
+    # Psi(tr rho(g1), tr rho(g1 g2)) off by p^(N-1) T^D, the last digit the
+    # row can see
+    def off(fam):
+        return character_curve_value(fam) + _last_digit(fam.ring)
+
+    monkeypatch.setattr(verify, "character_curve_value", off)
+    assert _failed_rows(example_id) == {"character-curve"}
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_nonzero_chain_contraction_fails_its_row(example_id, monkeypatch):
+    # one entry of the composite of the two boundary maps off by p^(N-1) T^D
+    def off(pres, rep):
+        c = chain_contraction(pres, rep)
+        return Mat2(c.a + _last_digit(rep.ring), c.b, c.c, c.d)
+
+    monkeypatch.setattr(verify, "chain_contraction", off)
+    assert _failed_rows(example_id) == {"chain-contraction"}
 
 
 @pytest.mark.parametrize("N", [16, 32])
