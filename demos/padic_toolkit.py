@@ -29,7 +29,7 @@ print("cubic root mu:", mu)
 print("64mu^3 - 880mu^2 + 3424mu - 2651 =",
       mu * mu * mu * 64 - mu * mu * 880 + mu * 3424 - 2651)
 
-# truncated power series: arithmetic, inversion, square roots
+# truncated power series: products, differences and a square root
 S = ZpT(3, 4, 6)
 x = S([2, 1])                      # 2 + T
 q = sqrt_positive(x * x - 3)       # the square root used by the p=3 family

@@ -7,13 +7,15 @@ pipeline re-runs at N+4, D+4). The residue field F_p is Zp(p, 1).
 
 Rings are interned: Zp(p, N) and ZpT(p, N, D) return one object per
 key, so elements of one ring share their ring by identity and a prime is
-tested once per ring. to_ring maps an element to another ring over the
-same p: truncation to a smaller one, or the lift that keeps every digit
-to a larger one.
+tested once per ring. PadicInt.to_ring maps an element to another Zp
+over the same p: reduction to a smaller one, or the lift that keeps
+every digit to a larger one. A PadicSeries has no inverse: no path
+divides by a series.
 
 Series multiplication is the schoolbook convolution, reduced once per
-coefficient. Where D >= _KRONECKER_MIN_D and p^N fits in a 64-bit word
-with room to spare, it is one integer product instead (Kronecker
+coefficient. Where D >= _KRONECKER_MIN_D, p^N fits in a 64-bit word
+with room to spare and each operand has three or more nonzero
+coefficients, it is one integer product instead (Kronecker
 substitution; Harvey 2009): each operand, trimmed of trailing zero
 coefficients, is packed into slots of one or two 64-bit words, at least
 2*bits(p^N) + bits(D+1) bits wide so that no slot of the product carries
@@ -140,6 +142,8 @@ _KRONECKER_MIN_D = 16
 
 def power(base, k: int, one):
     """base^k for k >= 0 by square-and-multiply; one is the ring's 1."""
+    if k < 0:
+        raise ValueError("negative exponent %d" % k)
     out = one
     while k:
         if k & 1:
@@ -408,12 +412,7 @@ class PadicSeries:
         xs, ys = self.coeffs, other.coeffs
         if ys.count(0) >= D - 1:  # at most two nonzero coefficients: put them on the left
             xs, ys = ys, xs
-        if xs.count(0) >= D - 1:  # one shifted, scaled copy of ys per nonzero coefficient
-            out = [0] * (D + 1)
-            for i, a in enumerate(xs):
-                if a:
-                    out[i:] = [o + a * y for o, y in zip(out[i:], ys)]
-        elif w:
+        if w and xs.count(0) < D - 1:  # Kronecker on dense operands only
             x, la = _packed(xs, w)
             y, lb = _packed(ys, w)
             buf = (x * y).to_bytes(8 * w * max(la + lb, D + 1), "little")
@@ -430,8 +429,6 @@ class PadicSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.invert_unit() ** (-k)
         return power(self, k, self.ring.one)
 
     @property
@@ -442,26 +439,8 @@ class PadicSeries:
     def is_unit(self) -> bool:
         return self.coeffs[0] % self.ring.p != 0
 
-    def invert_unit(self) -> "PadicSeries":
-        if not self.is_unit:
-            raise NonUnit("series constant term is not a unit")
-        m = self.ring.base.modulus
-        b0 = pow(self.coeffs[0], -1, m)
-        out = [b0] + [0] * self.ring.D
-        for k in range(1, self.ring.D + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * out[k - j]
-            out[k] = (-b0 * acc) % m
-        return PadicSeries(self.ring, tuple(out))
-
     def coefficient(self, k: int) -> PadicInt:
         return self.ring.base(self.coeffs[k])
-
-    def to_ring(self, ring: ZpT) -> "PadicSeries":
-        """The image in ZpT(p, n, d): truncation mod (p^n, T^(d+1)), or
-        the lift that keeps every coefficient and pads with zeros."""
-        return self if ring is self.ring else ring(self.coeffs)
 
     def residue(self) -> int:
         """Reduction mod the maximal ideal (p, T)."""

@@ -42,10 +42,10 @@ from .presentations import TwoBridgePresentation
 from .words import gen
 
 
-def _add_into(out: dict, terms: dict, k: int = 1) -> dict:
-    """out += k * terms in place (k != 0), dropping cancelled keys; returns out."""
+def _add_into(out: dict, terms: dict) -> dict:
+    """out += terms in place, dropping cancelled keys; returns out."""
     for key, c in terms.items():
-        c = out.get(key, 0) + k * c
+        c = out.get(key, 0) + c
         if c:
             out[key] = c
         else:
@@ -85,38 +85,7 @@ class BivariatePoly:
     def constant(cls, c: int) -> "BivariatePoly":
         return cls({(0, 0): c})
 
-    @classmethod
-    def first_var(cls, e: int = 1) -> "BivariatePoly":
-        return cls({(e, 0): 1})
-
-    @classmethod
-    def second_var(cls) -> "BivariatePoly":
-        return cls({(0, 1): 1})
-
-    # ring operations ----------------------------------------------------
-
-    def _coerce(self, other):
-        return BivariatePoly.constant(other) if isinstance(other, int) else other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return BivariatePoly._wrap(_add_into(dict(self.terms), other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BivariatePoly._wrap({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # products ----------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -136,19 +105,11 @@ class BivariatePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        return power(self, k, BivariatePoly.constant(1))
-
     # structure ------------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
-        other = self._coerce(other) if isinstance(other, int) else other
+        if isinstance(other, int):
+            other = BivariatePoly.constant(other)
         return isinstance(other, BivariatePoly) and self.terms == other.terms
 
     def __hash__(self) -> int:

@@ -79,37 +79,15 @@ def residual_stages(fam: DeformationFamily) -> ResidualStages:
     )
 
 
-class RunReport:
-    """The rows of one run at (N, D). residual, the run's ResidualStages,
-    is left out of equality and hashing."""
+class RunReport(NamedTuple):
+    """The rows of one run at (N, D), and the run's ResidualStages."""
 
-    __slots__ = ("example_id", "N", "D", "rows", "l_form", "residual")
-
-    def __init__(
-        self,
-        example_id: str,
-        N: int,
-        D: int,
-        rows: tuple[CheckRow, ...],
-        l_form: DivisorNormalForm,
-        residual: ResidualStages | None = None,
-    ) -> None:
-        for name, value in zip(self.__slots__, (example_id, N, D, rows, l_form, residual)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RunReport is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.example_id, self.N, self.D, self.rows, self.l_form
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    example_id: str
+    N: int
+    D: int
+    rows: tuple[CheckRow, ...]
+    l_form: DivisorNormalForm
+    residual: ResidualStages | None = None
 
     @property
     def ok(self) -> bool:

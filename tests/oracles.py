@@ -4,13 +4,14 @@ Everything here is self-contained on purpose: no imports from the
 package under test, plain integer arithmetic only (k_minors alone takes
 whatever entries it is given, and uses only their + - *), except the
 SL2 helpers at the end. These build the package's Mat2 over a ring it
-is given: random_sl2 samples det-1 matrices, and group_ring_matrix
-multiplies each word out letter by letter with matrices.word_matrix,
-which no package path runs, instead of through trace coordinates. The
-character-scheme scan decides membership of (x0, y0) by exhibiting an
-actual pair of 2x2 matrices over F_p[z]/(z^2 - x0 z + 1) and checking
-the single group relation, rather than by evaluating any polynomial
-produced by the library. psi_scan does evaluate a given Psi, point by
+is given: random_sl2 samples det-1 matrices, inverting series units by
+their coefficient recurrence, and group_ring_matrix multiplies each word
+out letter by letter with matrices.word_matrix, which no package path
+runs, instead of through trace coordinates. The character-scheme scan
+decides membership of (x0, y0) by exhibiting an actual pair of 2x2
+matrices over F_p[z]/(z^2 - x0 z + 1) and checking the single group
+relation, rather than by evaluating any polynomial produced by the
+library. psi_scan does evaluate a given Psi, point by
 point, so it checks only how the points of that Psi are found;
 char_points_by_x finds them one x0 at a time with a root finder it is
 given. hensel_full_precision lifts a root by Newton's step on a doubling
@@ -305,6 +306,18 @@ def _random_residues(rng: random.Random, ring, unit: bool):
     return ring(cs)
 
 
+def _inverse(u):
+    """1/u for a unit of Zp, or of ZpT by the recurrence
+    b_k = -b_0 * sum_(j=1..k) u_j b_(k-j) on its coefficient list."""
+    if isinstance(u.ring, Zp):
+        return u.invert_unit()
+    m = u.ring.base.modulus
+    inv = [pow(u.coeffs[0], -1, m)]
+    for k in range(1, u.ring.D + 1):
+        inv.append(-inv[0] * sum(u.coeffs[j] * inv[k - j] for j in range(1, k + 1)) % m)
+    return u.ring(inv)
+
+
 def random_sl2(rng: random.Random, ring) -> Mat2:
     """Element of SL2 over Zp or ZpT with determinant exactly 1, built
     constructively: either a is a unit and d = (1 + bc) / a, or a = 0,
@@ -312,9 +325,9 @@ def random_sl2(rng: random.Random, ring) -> Mat2:
     if rng.random() < 0.15:
         b = _random_residues(rng, ring, unit=True)
         d = _random_residues(rng, ring, unit=False)
-        return Mat2(ring.zero, b, -b.invert_unit(), d)
+        return Mat2(ring.zero, b, -_inverse(b), d)
     a = _random_residues(rng, ring, unit=True)
     b = _random_residues(rng, ring, unit=False)
     c = _random_residues(rng, ring, unit=False)
-    d = (b * c + 1) * a.invert_unit()
+    d = (b * c + 1) * _inverse(a)
     return Mat2(a, b, c, d)

@@ -28,7 +28,7 @@ from oracles import (
 from twobridge import cli, riley
 from twobridge.deformations import Representation
 from twobridge.laurent import _poly_divmod
-from twobridge.matrices import Mat2, word_matrix
+from twobridge.matrices import Mat2
 from twobridge.padics import Zp
 from twobridge.presentations import two_bridge
 from twobridge.riley import (
@@ -113,20 +113,47 @@ def test_b31_intermediates():
     assert data.sign == 1
 
 
+def _dict_sum(*polys):
+    """Sum of {(i, j): c} dicts, zeros dropped."""
+    out = {}
+    for terms in polys:
+        for k, c in terms.items():
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _dict_mat_mul(A, B):
+    """Product of 2x2 matrices given as (a, b, c, d) tuples of term dicts."""
+    (a, b, c, d), (e, f, g, h) = A, B
+    P = bivariate_product
+    return (
+        _dict_sum(P(a, e), P(b, g)),
+        _dict_sum(P(a, f), P(b, h)),
+        _dict_sum(P(c, e), P(d, g)),
+        _dict_sum(P(c, f), P(d, h)),
+    )
+
+
 def test_generator_matrix_traces():
-    t, tinv = BivariatePoly.first_var(1), BivariatePoly.first_var(-1)
-    u, zero, one = BivariatePoly.second_var(), BivariatePoly(), BivariatePoly.constant(1)
-    C, D = Mat2(t, one, zero, tinv), Mat2(t, zero, u, tinv)
-    assert (C * D).trace() == BivariatePoly.first_var(2) + BivariatePoly.first_var(-2) + u
-    assert C.det() == 1
-    assert D.det() == 1
+    t, tinv, u, one = {(1, 0): 1}, {(-1, 0): 1}, {(0, 1): 1}, {(0, 0): 1}
+    C, D = (t, one, {}, tinv), (t, {}, u, tinv)
+    CD = _dict_mat_mul(C, D)
+    assert _dict_sum(CD[0], CD[3]) == {(2, 0): 1, (-2, 0): 1, (0, 1): 1}
+    for a, b, c, d in (C, D):
+        assert _dict_sum(bivariate_product(a, d), {k: -v for k, v in bivariate_product(b, c).items()}) == one
+    # det 1, so the inverses are the adjugates
+    images = {(1, 1): C, (2, 1): D, (1, -1): (tinv, {(0, 0): -1}, {}, t), (2, -1): (tinv, {}, {(0, 1): -1}, t)}
+    for g in (1, 2):
+        assert _dict_mat_mul(images[g, 1], images[g, -1]) == (one, {}, {}, one)
     # the packed first row of W is that of the generic product of C and D along w
     for m in range(3, 16, 2):
         for n in range(2 - m, m, 2):
             if math.gcd(m, n) == 1:
                 pres = two_bridge(m, n)
-                W = word_matrix({1: C, 2: D}, pres.w, 1, 0)
-                assert _row_and_phi(pres)[0][:2] == [W.a.terms, W.b.terms], (m, n)
+                W = (one, {}, {}, one)
+                for letter in pres.w:
+                    W = _dict_mat_mul(W, images[letter])
+                assert _row_and_phi(pres)[0][:2] == list(W[:2]), (m, n)
 
 
 def _coprime_ns(m):
@@ -265,12 +292,14 @@ def test_packed_coordinate_changes_match_on_random_polynomials(case):
 @pytest.mark.parametrize("mn", [(3, 1), (5, 3), (7, 3), (9, 5), (3, -1), (31, -9), (47, -15)])
 def test_symmetrization_reconstructs_phi(mn):
     data = riley_polynomial(two_bridge(*mn))
-    x_in_t = BivariatePoly.first_var(1) + BivariatePoly.first_var(-1)
-    rebuilt = BivariatePoly()
+    x_powers = [{(0, 0): 1}]  # (t + 1/t)^i
+    rebuilt = {}
     for (i, j), c in data.phi_xu.terms.items():
         assert i >= 0
-        rebuilt = rebuilt + BivariatePoly({(0, j): c}) * x_in_t**i
-    assert rebuilt == data.phi.shift_first(data.l)
+        while len(x_powers) <= i:
+            x_powers.append(bivariate_product(x_powers[-1], {(1, 0): 1, (-1, 0): 1}))
+        rebuilt = _dict_sum(rebuilt, bivariate_product({(0, j): c}, x_powers[i]))
+    assert rebuilt == data.phi.shift_first(data.l).terms
 
 
 @pytest.mark.parametrize(
@@ -614,12 +643,14 @@ def test_discriminant_values():
 
 
 def test_discriminant_matches_factored_form():
-    # disc(x, x, y) = (y - x^2 + 2)(y - 2) as integer polynomials
-    x = BivariatePoly.first_var(1)
-    y = BivariatePoly.second_var()
-    lhs = discriminant(x, x, y)
-    rhs = (y - x * x + 2) * (y - 2)
-    assert lhs == rhs
+    # disc(x, x, y) = (y - x^2 + 2)(y - 2) as integer polynomials: disc is
+    # a cubic in the three traces, so both sides have degree <= 3 in x and
+    # in y, and agreeing on a 5 x 5 grid of integer points makes them one
+    rhs = bivariate_product({(0, 1): 1, (2, 0): -1, (0, 0): 2}, {(0, 1): 1, (0, 0): -2})
+    assert max(i for i, _ in rhs) <= 3 and max(j for _, j in rhs) <= 3
+    for x0 in range(-2, 3):
+        for y0 in range(-2, 3):
+            assert discriminant(x0, x0, y0) == sum(c * x0**i * y0**j for (i, j), c in rhs.items()), (x0, y0)
 
 
 def test_discriminant_on_residual_matrices():

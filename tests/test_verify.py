@@ -305,17 +305,3 @@ def test_verify_example_builds_the_fox_images_once_per_family(monkeypatch):
         assert report.ok
         assert len(built) == 2 and built[0] is not built[1], example_id
         assert {(rep.ring.N, rep.ring.D) for rep in built} == {(8, 8), (12, 12)}, example_id
-
-
-def test_run_report_equality_ignores_residual():
-    base = verify_example("4.5.1").base
-    assert base.residual is not None
-    bare = verify.RunReport(base.example_id, base.N, base.D, base.rows, base.l_form)
-    assert bare.residual is None
-    assert bare == base and hash(bare) == hash(base)
-    assert verify.RunReport(base.example_id, base.N + 1, base.D, base.rows, base.l_form) != base
-    for name in ("rows", "residual", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(base, name, None)
-    with pytest.raises(AttributeError):
-        del base.rows
