@@ -36,10 +36,6 @@ def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:
             print(line)
 
 
-def _letters(word) -> list[list[int]]:
-    return [[g, s] for g, s in word]
-
-
 def _coeffs(series) -> list[str]:
     """The coefficients of a p-adic series, constant term first."""
     return [str(c) for c in series.coeffs]
@@ -76,8 +72,8 @@ def cmd_presentation(args) -> int:
         "m": pres.m,
         "n": pres.n,
         "epsilon": list(pres.epsilon),
-        "w": _letters(pres.w),
-        "relator": _letters(pres.relator),
+        "w": pres.w.letters,  # (gen, sign) tuples: json writes them as arrays
+        "relator": pres.relator.letters,
     }
     _emit(args, payload, lambda: [
         "B(%d, %d)" % (pres.m, pres.n),
@@ -90,13 +86,14 @@ def cmd_presentation(args) -> int:
 
 def cmd_fox(args) -> int:
     word = parse_word(args.word)
-    # by number of letters, then text form; no two distinct words share both
-    terms = sorted((len(w), str(w), c) for w, c in fox_derivative(word, args.gen).items())
-    payload = {"word": str(word), "gen": args.gen, "derivative": [[w, c] for _, w, c in terms]}
+    # the terms are prefixes of word, in rising length: no two share a length
+    coeffs = {len(u): c for u, c in fox_derivative(word, args.gen).items()}
+    terms = list(zip(word.prefix_texts(coeffs), coeffs.values()))
+    payload = {"word": str(word), "gen": args.gen, "derivative": [[w, c] for w, c in terms]}
 
     def lines():
         # every coefficient is +1 or -1: the words are distinct prefixes of word
-        text = " ".join("%s %s" % ("-" if c < 0 else "+", w) for _, w, c in terms)
+        text = " ".join("%s %s" % ("-" if c < 0 else "+", w) for w, c in terms)
         text = text[2:] if text.startswith("+") else text.replace("- ", "-", 1) or "0"
         yield "d(%s)/dg%d = %s" % (word, args.gen, text)
 

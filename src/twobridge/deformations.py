@@ -30,7 +30,7 @@ import random
 from typing import NamedTuple
 
 from .matrices import Mat2
-from .padics import PadicInt, PadicSeries, Zp, ZpT, hensel_root, poly_eval, sqrt_positive
+from .padics import PadicInt, PadicSeries, Zp, ZpT, hensel_root, poly_derivative, poly_eval, sqrt_positive
 from .presentations import TwoBridgePresentation, two_bridge
 from .riley import relation_holds
 from .words import FreeWord, gen, reduced_words
@@ -430,9 +430,9 @@ def universality_certificate(fam: DeformationFamily) -> Certificate:
     tr1 = res(gen(1)).trace().residue()
     tr12 = res(gen(1) * gen(2)).trace().residue()
     point_ok = tr1 == x0 % fam.p and tr12 == y0 % fam.p and fam.alpha.residue() == x0 % fam.p
-    psi = fam.pres.riley.psi
-    val = psi.eval_modp(x0, y0, fam.p)
-    der = psi.derivative_second().eval_modp(x0, y0, fam.p)
+    fp = Zp(fam.p, 1)
+    f = _psi_at_x(fam.pres, fp(x0))  # Psi(x0, y) over F_p
+    val, der = poly_eval(f, fp(y0)).r, poly_eval(poly_derivative(f), fp(y0)).r
     return Certificate(
         key=fam.key,
         trace_ok=trace_ok,

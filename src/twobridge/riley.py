@@ -36,8 +36,7 @@ from operator import and_, lshift, or_
 from typing import Iterator, NamedTuple
 
 from .laurent import _poly_divmod, _poly_gcd_field
-from .matrices import Mat2
-from .padics import Zp, power, sqrt_mod_prime
+from .padics import Zp, power
 from .presentations import TwoBridgePresentation
 from .words import gen
 
@@ -146,9 +145,6 @@ class BivariatePoly:
                 out = _add_into(out, shifted) if out else shifted
             _add_into(out, columns.get(j, {}))
         return BivariatePoly._wrap(out)
-
-    def derivative_second(self) -> "BivariatePoly":
-        return BivariatePoly._wrap({(i, j - 1): c * j for (i, j), c in self.terms.items() if j > 0})
 
     def eval_modp(self, a: int, b: int, p: int) -> int:
         """Value at (first, second) = (a, b) in F_p; negative first powers
@@ -424,10 +420,10 @@ def _residue_power(a: int, k: int, h: dict[int, int], p: int) -> dict[int, int]:
     return {e: c for e, c in enumerate(r) if c}
 
 
-def _gcd_minus(h: dict[int, int], w: dict[int, int], c: int, p: int) -> dict[int, int]:
-    """The monic gcd over F_p of h != 0 and w - c."""
+def _gcd_minus(h: dict[int, int], w: dict[int, int], p: int) -> dict[int, int]:
+    """The monic gcd over F_p of h != 0 and w - 1."""
     w = dict(w)
-    w[0] = (w.get(0, 0) - c) % p
+    w[0] = (w.get(0, 0) - 1) % p
     return _poly_gcd_field(h, {e: v for e, v in w.items() if v}, p)
 
 
@@ -437,55 +433,56 @@ def _square_roots(p: int) -> dict[int, int]:
 
 
 def _small_roots(h: dict[int, int], p: int, root: dict[int, int]) -> list[int]:
-    """The distinct roots in F_p of a monic h of degree <= 2: none, -h_0,
-    or the quadratic formula (-b +- sqrt(b^2 - 4c)) / 2, the square root
-    read from root = _square_roots(p)."""
+    """The distinct roots in F_p of a monic h of degree <= 2 that are
+    squares, sorted: of none, -h_0, or the quadratic formula
+    (-b +- sqrt(b^2 - 4c)) / 2, those that root = _square_roots(p)
+    holds; sqrt(b^2 - 4c) is read from root too."""
     top = max(h)
     if top == 0:
         return []
     if top == 1:
-        return [-h.get(0, 0) % p]
+        s = -h.get(0, 0) % p
+        return [s] if s in root else []
     b, c = h.get(1, 0), h.get(0, 0)
     s = root.get((b * b - 4 * c) % p)
     if s is None:
         return []
     half = (p + 1) // 2  # 1/2 in F_p
-    return sorted({(-b + s) * half % p, (-b - s) * half % p})
+    return sorted({r for r in ((-b + s) * half % p, (-b - s) * half % p) if r in root})
 
 
 def _roots_modp(f: dict[int, int], p: int, root: dict[int, int]) -> list[int]:
     """The distinct roots in F_p of a nonzero f over F_p (exponent ->
-    nonzero residue), p an odd prime, sorted; root = _square_roots(p).
+    nonzero residue) that are squares, 0 included, sorted; p is an odd
+    prime and root = _square_roots(p). The other roots are not found.
 
     A power of y dividing f gives the root 0 and is divided out; f is
     then made monic, and degrees up to 2 are answered by _small_roots.
     Otherwise r = y^((p-1)/2) mod f is computed once: since
     y^p - y = y (y^((p-1)/2) - 1) (y^((p-1)/2) + 1) (Cantor-Zassenhaus),
     gcd(f, r - 1) is the product of (y - s) over the nonzero square
-    roots s of f and gcd(f, r + 1) over the non-square ones. Each factor
-    of degree >= 3 is split by gcd with (y + a)^((p-1)/2) - 1 for
-    a = 1, 2, ...: the roots s with s + a a nonzero square. Two roots
-    s1 != s2 of one factor have s1/s2 a square, and (s1 + a)/(s2 + a)
-    runs over every non-residue as a runs over F_p minus {0, -s1, -s2},
-    so some a < p splits.
+    roots s of f. A factor of degree >= 3 is split by gcd with
+    (y + a)^((p-1)/2) - 1 for a = 1, 2, ...: the roots s with s + a a
+    nonzero square. Two roots s1 != s2 of one factor have s1/s2 a
+    square, and (s1 + a)/(s2 + a) runs over every non-residue as a runs
+    over F_p minus {0, -s1, -s2}, so some a < p splits.
     """
     low = min(f)
     roots = [0] if low else []
     top = max(f) - low
     inv = pow(f[top + low], -1, p)
     f = {e - low: c * inv % p for e, c in f.items()}
-    if top <= 2:
-        return sorted(roots + _small_roots(f, p, root))
+    if top <= 2:  # f(0) != 0 now: its roots follow 0
+        return roots + _small_roots(f, p, root)
     half = (p - 1) // 2
-    r = _residue_power(0, half, f, p)
-    todo = [_gcd_minus(f, r, 1, p), _gcd_minus(f, r, -1, p)]
+    todo = [_gcd_minus(f, _residue_power(0, half, f, p), p)]
     while todo:
         h = todo.pop()
         if max(h) <= 2:
             roots += _small_roots(h, p, root)
             continue
         for a in range(1, p):
-            s = _gcd_minus(h, _residue_power(a, half, h, p), 1, p)
+            s = _gcd_minus(h, _residue_power(a, half, h, p), p)
             if 0 < max(s) < max(h):
                 todo += [s, _poly_divmod(h, s, p)[0]]
                 break
@@ -502,11 +499,12 @@ def char_points(pres: TwoBridgePresentation, p: int) -> list[CharacterPoint]:
     eps(g_i) = -1 has traces (-x, y)); an odd power of x is a defect and
     raises RuntimeError. Psi's coefficients are reduced mod p once, as
     polynomials in y of each power of X = x^2. For each of the p values
-    y0, _roots_modp finds the roots X0 of Psi(X, y0), of degree about m/7
-    where Psi(x0, y) has degree about m/2 in y, and each square X0 gives
-    x0 = +-sqrt(X0); where Psi(X, y0) vanishes, every x0 is a root. The
-    abelian line adds y = x0^2 - 2. A point is flagged absolutely
-    irreducible iff Psi vanishes and the abelian-line factor does not.
+    y0, _roots_modp finds the roots X0 of Psi(X, y0) that are squares,
+    of degree about m/7 where Psi(x0, y) has degree about m/2 in y, and
+    each gives x0 = +-sqrt(X0); where Psi(X, y0) vanishes, every x0 is a
+    root. The abelian line adds y = x0^2 - 2. A point is flagged
+    absolutely irreducible iff Psi vanishes and the abelian-line factor
+    does not.
 
     p must be an odd prime <= 10^4. The guard's message still speaks of
     an exhaustive scan; it is part of the CLI's pinned output.
@@ -532,9 +530,8 @@ def char_points(pres: TwoBridgePresentation, p: int) -> list[CharacterPoint]:
             if v % p:
                 f[k] = v % p
         for X0 in _roots_modp(f, p, root) if f else root:  # f = 0: every square X0
-            if X0 in root:
-                for x0 in {root[X0], -root[X0] % p}:
-                    zeros[x0].append(y0)
+            for x0 in {root[X0], -root[X0] % p}:
+                zeros[x0].append(y0)
     points = []
     for x0, ys in enumerate(zeros):
         line_base = (x0 * x0 - 2) % p  # abelian line: y = x^2 - 2
@@ -552,31 +549,6 @@ def discriminant(tr1, tr2, tr12):
     absolutely irreducible. Works over any ring with int coercion.
     """
     return tr1 * tr1 + tr2 * tr2 + tr12 * tr12 - tr1 * tr2 * tr12 - 4
-
-
-def build_modp_rep(
-    pres: TwoBridgePresentation, p: int, x0: int, y0: int
-) -> tuple[Mat2, Mat2] | None:
-    """A representation over F_p with character (x0, y0), if one exists
-    with eigenvalue parameter in F_p itself.
-
-    Returns (rho(g1), rho(g2)) as Mat2 over Zp(p,1), or None when
-    t^2 - x0 t + 1 has no root mod p. The caller should confirm the
-    relation, as relation_holds(pres, Representation(Zp(p, 1), {1: g1,
-    2: g2})); for (x0, y0) on the Riley curve it holds.
-    """
-    ring = Zp(p, 1)
-    root = sqrt_mod_prime(x0 * x0 - 4, p)
-    if root is None:
-        return None
-    a = ((x0 + root) * pow(2, -1, p)) % p
-    if a % p == 0:
-        return None
-    u0 = (y0 - x0 * x0 + 2) % p
-    ainv = pow(a, -1, p)
-    g1 = Mat2(ring(a), ring.one, ring.zero, ring(ainv))
-    g2 = Mat2(ring(a), ring.zero, ring(u0), ring(ainv))
-    return g1, g2
 
 
 def relation_holds(pres: TwoBridgePresentation, rep) -> bool:

@@ -16,16 +16,21 @@ from typing import Iterable, Iterator
 
 Letter = tuple[int, int]
 
-# the fox subcommand is quadratic in the word's length; at this cap it
-# takes about 2 s on a Xeon core (CPython 3.11)
+# fox prints one prefix of the word per term, so an alternating word's
+# output grows as the square of its length: 12 MB in about 0.4 s at this
+# cap on a Xeon core (CPython 3.11), where a power of one letter prints
+# 39 kB in about 0.35 s
 MAX_WORD_LETTERS = 4000
 
 _TOKEN = re.compile(r"^g([1-9][0-9]*)(?:\^(-?[1-9][0-9]*))?$")
 
 
 def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
+    """The reduced word of letters, as a tuple of (gen, sign) tuples; a
+    letter that is already a tuple is kept, not rebuilt."""
     stack: list[Letter] = []
-    for gen, sign in letters:
+    for letter in letters:
+        gen, sign = letter
         if gen < 1:
             raise ValueError("generator index must be >= 1, got %r" % (gen,))
         if sign not in (1, -1):
@@ -33,7 +38,7 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
         if stack and stack[-1][0] == gen and stack[-1][1] == -sign:
             stack.pop()
         else:
-            stack.append((gen, sign))
+            stack.append(letter if type(letter) is tuple else (gen, sign))
     return tuple(stack)
 
 
@@ -109,15 +114,31 @@ class FreeWord:
         return cls(letters)
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "e"
-        parts = []
-        for g, e in self.runs():
-            parts.append("g%d" % g if e == 1 else "g%d^%d" % (g, e))
-        return " ".join(parts)
+        return " ".join(_run_text(g, e) for g, e in self.runs()) or "e"
+
+    def prefix_texts(self, lengths: Iterable[int]) -> Iterator[str]:
+        """str() of the prefixes of the given rising lengths, in time
+        linear in the text: each prefix extends the text of the runs
+        that the last one completed, and only its own last run is
+        formatted."""
+        head, g, e, k = "", 0, 0, 0  # the completed runs' text, then the open run (g, e)
+        for n in lengths:
+            for h, s in self.letters[k:n]:
+                if h == g:
+                    e += s
+                else:
+                    if g:
+                        head += _run_text(g, e) + " "
+                    g, e = h, s
+            k = n
+            yield head + _run_text(g, e) if n else "e"
 
     def __repr__(self) -> str:
         return "FreeWord(%s)" % str(self)
+
+
+def _run_text(g: int, e: int) -> str:
+    return "g%d" % g if e == 1 else "g%d^%d" % (g, e)
 
 
 def gen(i: int, e: int = 1) -> FreeWord:

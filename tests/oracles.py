@@ -5,7 +5,8 @@ package under test, plain integer arithmetic only (k_minors alone takes
 whatever entries it is given, and uses only their + - *), except the
 SL2 helpers at the end. These build the package's Mat2 over a ring it
 is given: random_sl2 samples det-1 matrices, inverting series units by
-their coefficient recurrence, and group_ring_matrix multiplies each word
+their coefficient recurrence; build_modp_rep writes down a pair over
+F_p with a given character; and group_ring_matrix multiplies each word
 out letter by letter with matrices.word_matrix, which no package path
 runs, instead of through trace coordinates. The character-scheme scan
 decides membership of (x0, y0) by exhibiting an actual pair of 2x2
@@ -13,9 +14,10 @@ matrices over F_p[z]/(z^2 - x0 z + 1) and checking the single group
 relation, rather than by evaluating any polynomial produced by the
 library. psi_scan does evaluate a given Psi, point by
 point, so it checks only how the points of that Psi are found;
-char_points_by_x finds them one x0 at a time with a root finder it is
-given. hensel_full_precision lifts a root by Newton's step on a doubling
-schedule, over Z_p and then in T, with f' inverted in full in every ring.
+char_points_by_x finds them one x0 at a time, as the zeros of Psi(x0, y)
+at every y0 at once. hensel_full_precision lifts a root by Newton's step
+on a doubling schedule, over Z_p and then in T, with f' inverted in full
+in every ring.
 """
 
 import random
@@ -184,25 +186,24 @@ def psi_scan(terms, p):
     return out
 
 
-def char_points_by_x(terms, p, roots):
+def char_points_by_x(terms, p):
     """The points of Psi found one x0 at a time, in (x, y) order, as
     (x0, y0, on_abelian_line, abs_irreducible): Psi(x0, y) is reduced
-    mod p and roots(f, p) gives the sorted roots in F_p of a nonzero
-    {exponent: residue} f; where Psi(x0, y) vanishes every y0 is a root.
-    terms is {(i, j): c} for c * x^i * y^j with i, j >= 0."""
+    mod p and evaluated by Horner's rule at every y0 at once, so where
+    it vanishes every y0 is a zero. terms is {(i, j): c} for
+    c * x^i * y^j with i, j >= 0."""
     columns = {}
     for (i, j), c in terms.items():
-        if c % p:
-            columns.setdefault(j, []).append((i, c % p))
+        columns.setdefault(j, []).append((i, c))
+    top = max(columns, default=0)
     out = []
     for x0 in range(p):
         line_y = (x0 * x0 - 2) % p
-        f = {}
-        for j, col in columns.items():
-            v = sum(c * pow(x0, i, p) for i, c in col) % p
-            if v:
-                f[j] = v
-        zeros = set(roots(f, p) if f else range(p))
+        values = [0] * p
+        for j in range(top, -1, -1):
+            v = sum(c * pow(x0, i, p) for i, c in columns.get(j, ())) % p
+            values = [(w * y0 + v) % p for y0, w in enumerate(values)]
+        zeros = {y0 for y0, w in enumerate(values) if not w}
         for y0 in sorted(zeros | {line_y}):
             on_line = y0 == line_y
             out.append((x0, y0, on_line, y0 in zeros and not on_line))
@@ -316,6 +317,21 @@ def _inverse(u):
     for k in range(1, u.ring.D + 1):
         inv.append(-inv[0] * sum(u.coeffs[j] * inv[k - j] for j in range(1, k + 1)) % m)
     return u.ring(inv)
+
+
+def build_modp_rep(p, x0, y0):
+    """(rho(g1), rho(g2)) over Zp(p, 1) with character (x0, y0): C and D
+    of riley's setup at the eigenvalue a = (x0 + r) / 2, with r the root
+    of x0^2 - 4 in [0, (p-1)/2], and u = y0 - x0^2 + 2. None when
+    x0^2 - 4 is not a square mod p. The pair satisfies the group
+    relation where (x0, y0) lies on the Riley curve; callers check it."""
+    ring = Zp(p, 1)
+    r = next((s for s in range((p + 1) // 2) if (s * s - x0 * x0 + 4) % p == 0), None)
+    if r is None:
+        return None
+    a = ring((x0 + r) * pow(2, -1, p))  # a (x0 - a) = (x0^2 - r^2) / 4 = 1
+    u = ring(y0 - x0 * x0 + 2)
+    return Mat2(a, ring.one, ring.zero, a.invert_unit()), Mat2(a, ring.zero, u, a.invert_unit())
 
 
 def random_sl2(rng: random.Random, ring) -> Mat2:

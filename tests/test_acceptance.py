@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from oracles import group_ring_matrix, random_sl2, rep_scan
+from oracles import build_modp_rep, group_ring_matrix, random_sl2, rep_scan
 from twobridge.deformations import (
     Representation,
     build_family,
@@ -45,7 +45,6 @@ from twobridge.padics import (
 )
 from twobridge.presentations import two_bridge
 from twobridge.riley import (
-    build_modp_rep,
     char_points,
     relation_holds,
     riley_polynomial,
@@ -364,7 +363,7 @@ def rep_pool():
         for p in SMALL_PRIMES + (29, 31, 37, 41):
             ring = Zp(p, 1)
             for pt in char_points(pres, p):
-                mats = build_modp_rep(pres, p, pt.x, pt.y)
+                mats = build_modp_rep(p, pt.x, pt.y)
                 if mats is None:
                     continue
                 rep = Representation(ring, {1: mats[0], 2: mats[1]})

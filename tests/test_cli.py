@@ -470,11 +470,11 @@ def test_closed_stdout_exits_1_without_traceback(flags):
     assert err == b""
 
 
-@pytest.mark.parametrize("m, code", [(101, 0), (1000001, 1)])
+@pytest.mark.parametrize("m, code", [(101, 0), (2000001, 1)])
 def test_out_of_memory_exits_1_with_one_line(m, code):
-    # under a 256 MB address-space cap: B(101, 1) fits, while B(1000001, 1),
-    # whose presentation takes about 550 MB uncapped, runs out within
-    # about a second and ends in one named line on stderr, not a traceback
+    # under a 256 MB address-space cap: B(101, 1) fits, while B(2000001, 1),
+    # whose presentation takes about 440 MB uncapped, runs out within
+    # about two seconds and ends in one named line on stderr, not a traceback
     limit = 256 << 20
     argv = ["presentation", "--m", str(m), "--n", "1", "--json"]
     child = (

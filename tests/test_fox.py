@@ -108,3 +108,11 @@ def test_augmentation_of_derivative(w):
     for i in (1, 2):
         assert sum(fox_derivative(w, i).values()) == sum(s for g, s in w if g == i)
 
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(words(max_gen=3, max_len=16), st.integers(1, 3))
+def test_derivative_terms_rise_in_length(w, i):
+    # cmd_fox prints the terms in the dict's order, by rising length
+    lengths = [len(u) for u in fox_derivative(w, i)]
+    assert lengths == sorted(set(lengths))

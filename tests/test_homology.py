@@ -12,7 +12,7 @@ import json
 import random
 
 import pytest
-from oracles import group_ring_matrix, k_minors, random_sl2
+from oracles import build_modp_rep, group_ring_matrix, k_minors, random_sl2
 
 from twobridge import cli
 from twobridge.deformations import Representation, build_family, specialize_family
@@ -40,7 +40,7 @@ from twobridge.laurent import LaurentPoly, eq_up_to_unit
 from twobridge.matrices import Mat2
 from twobridge.padics import DivisorNormalForm, Indeterminate, Zp
 from twobridge.presentations import two_bridge
-from twobridge.riley import build_modp_rep, char_points, relation_holds
+from twobridge.riley import char_points, relation_holds
 from twobridge.words import FreeWord, gen, reduced_words
 
 KEYS = ("rho1", "rho2", "rho3", "rho4")
@@ -221,7 +221,7 @@ def test_deleted_index_agreement_on_char_point_reps():
         for q in char_points(pres, p):
             if not q.absolutely_irreducible:
                 continue
-            pair = build_modp_rep(pres, p, q.x, q.y)
+            pair = build_modp_rep(p, q.x, q.y)
             if pair is None:
                 continue
             rep = Representation(Zp(p, 1), {1: pair[0], 2: pair[1]})

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     bivariate_product,
+    build_modp_rep,
     char_points_by_x,
     chebyshev_by_recursion,
     psi_scan,
@@ -41,7 +42,6 @@ from twobridge.riley import (
     _substitute_u,
     _symmetrize,
     _unpack,
-    build_modp_rep,
     char_points,
     discriminant,
     relation_holds,
@@ -405,15 +405,22 @@ def _structured_polys(draw):
 @given(_structured_polys())
 @example(({0: 1}, 3))
 @example(({1: 1}, 5))
-@example(({1: 4, 3: 1}, 5))  # y^3 - y: roots 0, 1, 4
-@example(({1: 6, 7: 1}, 7))  # y^7 - y: every element of F_7
+@example(({1: 4, 3: 1}, 5))  # y^3 - y: roots 0, 1, 4, each a square
+@example(({1: 6, 7: 1}, 7))  # y^7 - y: every element of F_7, of which 0, 1, 2, 4 are squares
 @example(({1: 10, 11: 3, 12: 2}, 11))  # degree > p, leading coefficient 2
 @example(({0: 1, 2: 1}, 7))  # y^2 + 1, irreducible mod 7
 @example(({0: 1, 1: 1, 2: 2, 3: 1, 4: 1}, 3))  # (y^2 + 1)(y - 1)^2
+@example(({0: 1, 1: 1}, 7))  # y + 1: the root 6 is not a square mod 7
+@example(({0: 4, 1: 5, 2: 1}, 7))  # (y - 3)(y - 6) mod 7: two non-square roots, the quadratic formula
 def test_roots_modp_matches_brute_force(fp):
     f, p = fp
-    brute = [y for y in range(p) if sum(c * pow(y, e, p) for e, c in f.items()) % p == 0]
-    assert _roots_modp(f, p, _square_roots(p)) == brute
+    assert _roots_modp(f, p, _square_roots(p)) == _square_zeros(f, p)
+
+
+def _square_zeros(f, p):
+    """The zeros in F_p of f that are squares, 0 included, by brute force."""
+    squares = {y * y % p for y in range(p)}
+    return [y for y in range(p) if y in squares and sum(c * pow(y, e, p) for e, c in f.items()) % p == 0]
 
 
 def _product_modp(factors, p, lead=1):
@@ -427,19 +434,22 @@ def _lin(r):
     return {0: -r, 1: 1}
 
 
-# each case drives one branch of _roots_modp: (p, lead, factors, roots)
+# each case drives one branch of _roots_modp: (p, lead, factors, roots);
+# 2, 3 and 7 are not squares mod 101, 2 and 3 not mod 5
 ROOT_CASES = {
-    # g+ = (y-1)(y-4)(y-9)(y-16): degree 4, split by (y + a)^50 - 1
+    # gcd(f, r - 1) = (y-1)(y-4)(y-9)(y-16): degree 4, split by (y + a)^50 - 1
     "four-square-roots": (101, 1, [_lin(1), _lin(4), _lin(9), _lin(16), {0: -2, 2: 1}], [1, 4, 9, 16]),
-    # g- = (y-2)(y-3): the quadratic formula; g+ = y - 25
-    "two-nonsquare-roots": (101, 1, [_lin(2), _lin(3), _lin(25), {0: -7, 2: 1}], [2, 3, 25]),
+    # the non-square roots 2 and 3 are left out: gcd(f, r - 1) = y - 25
+    "non-square-roots-left-out": (101, 1, [_lin(2), _lin(3), _lin(25), {0: -7, 2: 1}], [25]),
+    # (y-2)(y-3) of degree 2: the quadratic formula, both roots filtered out
+    "quadratic-non-square-roots": (101, 1, [_lin(2), _lin(3)], []),
     # y^3 divided out, then (y-1)^2 of degree 2: a zero discriminant
     "y-cubed-repeated-root": (101, 1, [{1: 1}] * 3 + [_lin(1)] * 2, [0, 1]),
     # y^3 divided out, then the half-power on a repeated root
-    "y-cubed-repeated-root-and-more": (101, 1, [{1: 1}] * 3 + [_lin(1)] * 2 + [_lin(2), _lin(9)], [0, 1, 2, 9]),
-    # leading coefficient 3, degree 8 > p: every element of F_5
+    "y-cubed-repeated-root-and-more": (101, 1, [{1: 1}] * 3 + [_lin(1)] * 2 + [_lin(2), _lin(9)], [0, 1, 9]),
+    # leading coefficient 3, degree 8 > p: every element of F_5 a root
     "non-monic-degree-above-p": (
-        5, 3, [{1: 1}, _lin(1), _lin(1), _lin(2), _lin(3), _lin(4), {0: 2, 2: 1}], [0, 1, 2, 3, 4]
+        5, 3, [{1: 1}, _lin(1), _lin(1), _lin(2), _lin(3), _lin(4), {0: 2, 2: 1}], [0, 1, 4]
     ),
     # leading coefficient 2, degree 8 > p, two irreducible quadratics
     "non-monic-two-irreducible-quadratics": (5, 2, [_lin(1)] * 3 + [_lin(4), {0: 2, 2: 1}, {0: 3, 2: 1}], [1, 4]),
@@ -451,8 +461,7 @@ def test_roots_modp_on_constructed_polynomials(case):
     p, lead, factors, roots = ROOT_CASES[case]
     f = _product_modp(factors, p, lead)
     assert max(f) == sum(max(g) for g in factors)
-    brute = [y for y in range(p) if sum(c * pow(y, e, p) for e, c in f.items()) % p == 0]
-    assert _roots_modp(f, p, _square_roots(p)) == brute == roots
+    assert _roots_modp(f, p, _square_roots(p)) == _square_zeros(f, p) == roots
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -516,8 +525,7 @@ def test_psi_is_even_in_x():
 
 def _assert_char_points_match_by_x(pres, p):
     got = [(q.x, q.y, q.on_abelian_line, q.absolutely_irreducible) for q in char_points(pres, p)]
-    root = _square_roots(p)
-    assert got == char_points_by_x(pres.riley.psi.terms, p, lambda f, q: _roots_modp(f, q, root)), p
+    assert got == char_points_by_x(pres.riley.psi.terms, p), p
 
 
 @pytest.mark.parametrize("mn", [(m, n) for m in range(3, 16, 2) for n in _coprime_ns(m)], ids=str)
@@ -602,7 +610,7 @@ def test_riley_consistency_at_rational_points(mnp):
     for q in char_points(pres, p):
         if not q.absolutely_irreducible:
             continue
-        pair = build_modp_rep(pres, p, q.x, q.y)
+        pair = build_modp_rep(p, q.x, q.y)
         if pair is None:
             continue
         g1, g2 = pair
@@ -624,7 +632,7 @@ def test_build_modp_rep_takes_the_small_root():
             if any(p % d == 0 for d in range(3, p, 2)):
                 continue
             for q in char_points(pres, p):
-                pair = build_modp_rep(pres, p, q.x, q.y) if q.absolutely_irreducible else None
+                pair = build_modp_rep(p, q.x, q.y) if q.absolutely_irreducible else None
                 if pair is None:
                     continue
                 assert (2 * pair[0].a.r - q.x) % p <= (p - 1) // 2

@@ -55,6 +55,9 @@ def test_tracer_wraps_and_restores_the_package(capsys):
     # Representation starts from its letter images, so no word goes through word_matrix
     assert tracer.counts["matrices.word_matrix.calls"] == 0
     assert tracer.counts["deformations.rep_eval.hits"] > 0
+    # the certificate reads Psi and dPsi/dy at its point through the lift's
+    # evaluator, not BivariatePoly.eval_modp
+    assert tracer.counts["riley.eval_modp.calls"] == 0
     after = _package_namespace()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
@@ -107,8 +110,8 @@ def test_only_the_cli_shapes_json():
 
 
 # names deleted because no subcommand, demo or reference check reached
-# them; random_sl2, _random_residues and a series inverse live on in
-# tests/oracles.py
+# them; random_sl2, _random_residues, a series inverse and build_modp_rep
+# live on in tests/oracles.py
 DELETED = (
     ("twobridge", "random_sl2"),
     ("twobridge", "TwistedAlexander"),
@@ -129,6 +132,8 @@ DELETED = (
         for name in ("first_var", "second_var", "_coerce", "__add__", "__radd__")
         + ("__neg__", "__sub__", "__rsub__", "__pow__", "is_zero")
     ),
+    ("twobridge.riley", "build_modp_rep"),
+    ("twobridge.riley", "BivariatePoly", "derivative_second"),
     ("twobridge.padics", "PadicSeries", "invert_unit"),
     ("twobridge.padics", "PadicSeries", "to_ring"),
     *(("twobridge.verify", "RunReport", name) for name in ("__init__", "__setattr__", "__delattr__", "_key", "__eq__", "__hash__")),

@@ -15,6 +15,7 @@ from twobridge.deformations import (
     universality_certificate,
 )
 from twobridge.homology import chain_contraction
+from twobridge.laurent import LaurentPoly
 from twobridge.matrices import Mat2
 from twobridge.riley import riley_polynomial
 from twobridge.verify import run_example, verify_example
@@ -238,6 +239,69 @@ def test_nonzero_chain_contraction_fails_its_row(example_id, monkeypatch):
 
     monkeypatch.setattr(verify, "chain_contraction", off)
     assert _failed_rows(example_id) == {"chain-contraction"}
+
+
+# one field of an example's reference data each, off so that only the row
+# that reads it can see it
+REFERENCE_TAMPERS = {
+    # the constant 1, a unit, where the residual Delta has degree 2
+    "alexander-residual": lambda ex: {"residual_delta_coeffs": {0: 1}},
+    "alexander-residual-at-1": lambda ex: {
+        "residual_delta_at_one_residue": ex.residual_delta_at_one_residue + 1
+    },
+    "delta0": lambda ex: {"expected_delta0_unit": not ex.expected_delta0_unit},
+    "l-function": lambda ex: {"expected_l": (ex.expected_l[0], ex.expected_l[1] + 1)},
+    # the first of the six closed forms off by p^(N-1) T^D
+    "minors-closed-form": lambda ex: {"expected_minors": lambda fam: _first_off(ex.expected_minors(fam))},
+    "specialized-det-g2": lambda ex: {"spec_det_g2": ex.spec_det_g2 + 1},
+    # a unit, where the specialized Delta has degree 2
+    "specialized-alexander": lambda ex: {
+        "expected_spec_delta": lambda spec: LaurentPoly(spec.family.ring.base, {0: 1})
+    },
+}
+
+
+def _first_off(series):
+    return [series[0] + _last_digit(series[0].ring), *series[1:]]
+
+SPECIALIZED_IDS = tuple(i for i in EXAMPLE_IDS if get_example(i).x_rat is not None)
+
+
+@pytest.mark.parametrize(
+    "row, example_id",
+    [
+        (row, i)
+        for row in REFERENCE_TAMPERS
+        for i in (SPECIALIZED_IDS if row in SPECIALIZED_ROW_NAMES else EXAMPLE_IDS)
+    ],
+)
+def test_tampered_reference_fails_its_row(row, example_id, monkeypatch):
+    ex = get_example(example_id)
+    wrong = ex._replace(**REFERENCE_TAMPERS[row](ex))
+    monkeypatch.setattr("twobridge.verify.get_example", lambda example_id: wrong)
+    assert _failed_rows(example_id) == {row}
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_missing_torsion_witness_fails_the_torsion_row(example_id, monkeypatch):
+    # no word with det(rho(w) - I) a unit, for the residual and the
+    # specialized representation alike; the vanishing link only tightens
+    # when the residual torsion criterion holds, so it still passes
+    monkeypatch.setattr(verify, "torsion_witness", lambda rep: (None, None))
+    assert _failed_rows(example_id) == {"torsion"}
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_inconsistent_vanishing_link_fails_its_row(example_id, monkeypatch):
+    # the dichotomy read as broken on the same three results: no other row
+    # reads the report
+    real = homology.VanishingReport.from_results
+    monkeypatch.setattr(
+        homology.VanishingReport,
+        "from_results",
+        staticmethod(lambda d0, lres, tors: real(d0, lres, tors)._replace(consistent=False)),
+    )
+    assert _failed_rows(example_id) == {"vanishing-link"}
 
 
 @pytest.mark.parametrize("N", [16, 32])

@@ -106,3 +106,23 @@ def test_prefix_and_suffix_split_the_word(w):
     for k in range(len(w) + 1):
         assert w.prefix(k) * w.suffix(len(w) - k) == w
         assert w.suffix(k).letters == w.letters[len(w) - k :]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(words(max_len=24), st.data())
+def test_prefix_texts_match_str_of_each_prefix(w, data):
+    # every prefix, and a rising subset that skips some, as cmd_fox asks
+    lengths = sorted(data.draw(st.sets(st.integers(0, len(w)))))
+    for ks in (range(len(w) + 1), lengths):
+        assert list(w.prefix_texts(ks)) == [str(w.prefix(k)) for k in ks]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(letters(), max_size=24))
+def test_reduce_keeps_the_given_letter_tuples(ls):
+    # letters that survive reduction are the caller's own tuples, not copies;
+    # a list letter is rebuilt as a tuple
+    w = FreeWord(ls)
+    assert all(any(x is y for y in ls) for x in w.letters)
+    assert FreeWord([list(x) for x in ls]).letters == w.letters
+    assert all(type(x) is tuple for x in FreeWord([list(x) for x in ls]).letters)
